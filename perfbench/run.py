@@ -49,14 +49,14 @@ def peak_rss_mb() -> float:
     return max(own, workers) / 1024.0
 
 
-def run_workload(name: str, seed: int, seconds: float, trace: bool, tiny: bool = False,
-                 setup_samples: int = SETUP_SAMPLES) -> tuple[dict, list[str]]:
+def run_workload(name: str, seed: int, seconds: float, trace: bool,
+                 tiny: bool = False) -> tuple[dict, list[str]]:
     """One benchmark run; returns the result object and the report lines."""
     with tempfile.TemporaryDirectory(prefix=".perfbench-", dir=bootstrap.ROOT) as tmp:
         workdir = Path(tmp)
         setups = []
         if not trace:
-            for _ in range(setup_samples):
+            for _ in range(SETUP_SAMPLES):
                 start = time.perf_counter()
                 spawn("setup", {"workload": name, "seed": seed, "tiny": tiny,
                                 "workdir": tmp})

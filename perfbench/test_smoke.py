@@ -19,8 +19,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_runs_and_checks(name, trace):
-    result, lines = run.run_workload(name, seed=3, seconds=0, trace=trace, tiny=True,
-                                     setup_samples=1)
+    result, lines = run.run_workload(name, seed=3, seconds=0, trace=trace, tiny=True)
     wanted = SPEC["per_layer"] if trace else SPEC["end_to_end"]
     assert set(result["metrics"]) == {m["name"] for m in wanted}
     for m in wanted:

@@ -21,9 +21,9 @@ from nlsenergy import (GaussianRational, RunConfig, energy, harness,
                        run_experiment, solve_energy, spectral, write_report)
 from nlsenergy.reduction import SectorReducer
 
-# reducer construction reached from inside the cached dispersive builder is
-# already covered by that builder's own span
-_CACHED_BUILDER = "energy.dispersive_reducer"
+# reducer construction reached from inside the cached dispersive reducer is
+# already covered by that function's own span
+_CACHED_REDUCER = "energy.dispersive_reducer"
 
 
 class Tracer:
@@ -108,7 +108,7 @@ def _reducer_built(tracer, args, result, seconds):
 
 
 def _reducer_part(tracer, args, result, seconds):
-    if _CACHED_BUILDER not in tracer.open_names:
+    if _CACHED_REDUCER not in tracer.open_names:
         tracer.add("reducer_build_in." + _outermost(tracer), seconds)
 
 

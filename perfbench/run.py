@@ -54,34 +54,50 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     """One benchmark run; returns the result object and the report lines."""
     with tempfile.TemporaryDirectory(prefix=".perfbench-", dir=bootstrap.ROOT) as tmp:
         workdir = Path(tmp)
-        setups = []
-        if not trace:
-            for _ in range(SETUP_SAMPLES):
-                start = time.perf_counter()
-                spawn("setup", {"workload": name, "seed": seed, "tiny": tiny,
-                                "workdir": tmp})
-                setups.append(time.perf_counter() - start)
-
+        setups, checks, rounds = [], [], []
+        traced = raised = None
         workload = WORKLOADS[name](seed, workdir, tiny, spawn)
         tracer = Tracer() if trace else None
-        checks = list(workload.prepare(tracer))
-        rounds = []
-        start = time.perf_counter()
-        while not rounds or time.perf_counter() - start < seconds:
-            rounds.append(workload.round())
-        done = list(rounds)
-        if trace:
-            traced = workload.round(tracer)
-            done.append(traced)
-            run_probes(tracer, workdir)
-        checks += workload.finish()
+        wanted = 0 if trace else SETUP_SAMPLES
+        setup_dir = workdir / "setup"
+        setup_dir.mkdir()
+
+        def set_up():
+            begin = time.perf_counter()
+            spawn("setup", {"workload": name, "seed": seed, "tiny": tiny,
+                            "workdir": str(setup_dir)})
+            setups.append(time.perf_counter() - begin)
+
+        try:
+            checks += workload.prepare(tracer)
+            start = time.perf_counter()
+            while not rounds or time.perf_counter() - start < seconds:
+                # set-ups are spread over the run: the shared machine's speed
+                # changes over seconds, and back-to-back samples share one spell
+                if len(setups) < wanted and \
+                        time.perf_counter() - start >= len(setups) * seconds / wanted:
+                    set_up()
+                rounds.append(workload.round())
+            while len(setups) < wanted:
+                set_up()
+            if trace:
+                traced = workload.round(tracer)
+                run_probes(tracer, workdir)
+            checks += workload.finish()
+        except Exception as exc:  # the run stops; the failure is counted and reported
+            raised = (f"{name} raised", False, f"{type(exc).__name__}: {exc}")
+        done = rounds + ([traced] if traced else [])
         for r in done:
             checks += r.checks
+        if raised:
+            checks.append(raised)
 
     failed = [c for c in checks if not c[1]]
     lines = [f"workload {name} seed {seed} rounds {len(rounds)}"]
     lines += [f"check FAIL {c[0]} {c[2]}".rstrip() for c in failed]
-    if trace:
+    if raised:
+        metrics = {}
+    elif trace:
         data = tracer.export()
         overhead = traced.seconds - statistics.median(r.seconds for r in rounds)
         metrics = layer_metrics(data, muladd_per_s(), overhead)

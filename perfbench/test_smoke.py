@@ -33,3 +33,16 @@ def test_workload_runs_and_checks(name, trace):
 
 def test_workload_names_match_the_spec():
     assert sorted(WORKLOADS) == sorted(w["name"] for w in SPEC["workloads"])
+
+
+def test_a_raising_program_is_counted_and_reported(monkeypatch):
+    def broken(self, tracer=None):
+        raise ArithmeticError("broken on purpose")
+
+    monkeypatch.setattr(WORKLOADS["longrun-evolve"], "round", broken)
+    result, lines = run.run_workload("longrun-evolve", seed=3, seconds=0, trace=True,
+                                     tiny=True)
+    assert not result["correct"]
+    assert result["failed"] == 1
+    assert result["attempted"] > result["failed"]
+    assert any("ArithmeticError: broken on purpose" in line for line in lines)

@@ -18,7 +18,7 @@ from .reduction import (MonomialClass, ReductionResult, SectorReducer, classify,
                         coordinates_in_span, enumerate_monomials, ibp_generators,
                         reduce_modulo)
 from .spectral import (BlowupError, PaddingError, SolverConfig, energy_value,
-                       evaluate_density, evaluate_monomial, evaluate_real,
+                       evaluate_density, evaluate_real,
                        evolve, hamiltonian, l2_norm, momentum, plane_wave,
                        plane_wave_solution, random_state, sobolev_norm, step,
                        wavenumbers)

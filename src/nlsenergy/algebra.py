@@ -107,12 +107,18 @@ def _add_term(acc: dict, m: Monomial, c: GaussianRational):
 
 
 class Density:
-    """Linear combination of density monomials over the Gaussian rationals."""
+    """Linear combination of density monomials over the Gaussian rationals.
 
-    __slots__ = ("_terms",)
+    A density never changes after construction, so derived data can be kept
+    on it: `_plan` holds its numerical evaluation plan once
+    :func:`nlsenergy.spectral.compile_density` has built it.
+    """
+
+    __slots__ = ("_terms", "_plan")
 
     def __init__(self, terms: dict[Monomial, GaussianRational] | None = None):
         self._terms = dict(terms) if terms else {}
+        self._plan = None
 
     @classmethod
     def zero(cls) -> "Density":

@@ -170,6 +170,7 @@ def mass_density() -> Density:
     return Density.monomial((0,), (0,))
 
 
+@functools.lru_cache(maxsize=None)
 def hamiltonian_density(p: int) -> Density:
     return (Density.monomial((1,), (1,))
             + Density.monomial((0,) * (p + 1), (0,) * (p + 1)) * Fraction(1, p + 1))
@@ -183,6 +184,7 @@ def cubic_monomial(k: int, p: int) -> Monomial:
     return Monomial(_orders(2 * m, 2 * m, 2 * m, pad=p - 2), _orders(pad=p + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def cubic_density(k: int, p: int) -> Density:
     return Density({cubic_monomial(k, p): GaussianRational(1)}).im_part()
 
@@ -216,6 +218,18 @@ def _correction_reducer(k: int, p: int) -> SectorReducer:
     return SectorReducer(ibp_generators(sector, 2 * k - 2), allowed)
 
 
+# only documents whose F_k is a rewrite of the catalogue combination need
+# this echelon, and a process validates them one (k, p) at a time; keeping
+# one bounds memory (all of them together hold about 20 MB on the
+# k 2..8 x p {2,3} grid plus (12,2) and (12,4))
+@functools.lru_cache(maxsize=1)
+def _correction_ibp_reducer(k: int, p: int) -> SectorReducer:
+    """Echelon of the correction sector (p+1, p+1, 2k-2) with no allowed
+    coordinates: a density reduces to zero iff it integrates by parts to 0."""
+    sector = (p + 1, p + 1, 2 * k - 2)
+    return SectorReducer(ibp_generators(sector, 2 * k - 2))
+
+
 @dataclass
 class EnergyDefinition:
     """A solved modified energy and the exact decomposition of its derivative.
@@ -236,10 +250,21 @@ class EnergyDefinition:
     cubic_coefficient: Fraction
     exact_derivative: Density
 
+    # the two sums are built once per energy, so each density a run
+    # evaluates is compiled into one evaluation plan; the fields are never
+    # reassigned after construction
     def energy_density(self) -> Density:
-        return quadratic_density(self.k) + self.correction
+        return self._energy_density
 
     def residual_density(self) -> Density:
+        return self._residual_density
+
+    @functools.cached_property
+    def _energy_density(self) -> Density:
+        return quadratic_density(self.k) + self.correction
+
+    @functools.cached_property
+    def _residual_density(self) -> Density:
         total = self.residual_quartic + self.residual_nonlinear
         if self.cubic_coefficient:
             total = total + cubic_density(self.k, self.p) * self.cubic_coefficient
@@ -552,7 +577,7 @@ def verify_identities(k: int, p: int) -> IdentityReport:
                  + correction_density(Family.ALIGNED_U, k, 1, p)
                  + correction_density(Family.MIXED_C, k, 1, p) * (p + 1)
                  + extra * (p - 1))
-        res = SectorReducer(ibp_generators((p + 1, p + 1, 2 * k - 2), 2 * k - 2)).reduce(delta)
+        res = _correction_ibp_reducer(k, p).reduce(delta)
         checks.append(IdentityCheck("mixed_c[2] rewrite (k=3)", "ibp",
                                     res.residual.is_zero, res.residual))
     if r == 1:
@@ -647,8 +672,7 @@ def import_energy(source) -> EnergyDefinition:
     if recombined != correction:
         # accept an equivalent rewrite inside the correction class
         diff = recombined - correction
-        res = SectorReducer(
-            ibp_generators((p + 1, p + 1, 2 * k - 2), 2 * k - 2)).reduce(diff)
+        res = _correction_ibp_reducer(k, p).reduce(diff)
         if not res.residual.is_zero:
             raise EnergyDocumentError(
                 "F_k is not the catalogue combination of the stated coefficients")

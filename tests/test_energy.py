@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from nlsenergy import energy as energy_module
 from nlsenergy.algebra import (Density, Monomial, density_from_text,
                                density_to_text, dt_linear)
 from nlsenergy.energy import (EnergyDocumentError, Family, _assemble,
@@ -312,3 +313,25 @@ def test_reduction_to_correction_class_strips_ibp_shifts():
     shift = _parts_shift(Monomial((3, 1, 0), (1, 0, 0))).re_part()
     dressed = dataclasses.replace(energy, correction=energy.correction + shift)
     assert reduce_to_correction_class(dressed) == energy
+
+
+def test_import_builds_the_correction_sector_reducer_once(monkeypatch):
+    built = []
+
+    def counting_generators(sector, order):
+        built.append(sector)
+        return ibp_generators(sector, order)
+
+    monkeypatch.setattr(energy_module, "ibp_generators", counting_generators)
+    energy_module._correction_ibp_reducer.cache_clear()
+    energy = solve_energy(4, 2)
+    shift = _parts_shift(Monomial((2, 2, 0), (1, 0, 0))).re_part()
+    rewritten = export_energy(_assemble(4, 2, energy.coefficients,
+                                        energy.correction + shift))
+    scaled = export_energy(energy)
+    _scale_correction(scaled)
+    # both documents' F_k differ from the catalogue combination
+    import_energy(rewritten)
+    with pytest.raises(EnergyDocumentError):
+        import_energy(scaled)
+    assert built.count((3, 3, 6)) == 1

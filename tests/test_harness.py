@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from nlsenergy.energy import energy_hash, solve_energy
+from nlsenergy import spectral
+from nlsenergy.energy import (energy_hash, export_energy, import_energy,
+                              solve_energy)
 from nlsenergy.harness import (CSV_COLUMNS, RunConfig, derivative_crosscheck,
                                format_csv, initial_state, max_bound_ratio,
                                observe, run_experiment, write_report)
@@ -102,3 +104,32 @@ def test_bound_ratio_reduces_to_abs_correction_at_k2():
     row = observe(initial_state(config), 0.0, energy, config)
     assert row["bound_ratio"] == abs(row["F_k"])
     assert max_bound_ratio([row, {"bound_ratio": -1.0}]) == row["bound_ratio"]
+
+
+def test_record_where_the_derivative_nearly_vanishes_completes():
+    """A record with dE_k/dt near -1.3 whose terms sum from magnitudes of
+    order 1e10: the imaginary round-off of about 1e-8 is tiny against the
+    terms, though not against the value."""
+    config = RunConfig(k=6, n_modes=64, t_end=1, record_dt=0.05, seed=615558025)
+    rows = run_experiment(config, solve_energy(6, 2))
+    assert len(rows) == 21
+    assert min(abs(r["dEk_exact"]) for r in rows) < 2.0
+
+
+def test_a_run_compiles_each_density_once(monkeypatch):
+    compiled = []
+
+    class CountingPlan(spectral.DensityPlan):
+        def __init__(self, density):
+            compiled.append(density)
+            super().__init__(density)
+
+    monkeypatch.setattr(spectral, "DensityPlan", CountingPlan)
+    # a freshly imported energy: none of its densities has a plan yet
+    energy = import_energy(export_energy(solve_energy(3, 2)))
+    rows = run_experiment(_small_config(k=3, t_end=5e-3, record_dt=5e-3), energy)
+    assert len(rows) == 2
+    assert len({id(d) for d in compiled}) == len(compiled) <= 6
+    for density in (energy.correction, energy.exact_derivative,
+                    energy.energy_density(), energy.residual_density()):
+        assert sum(d is density for d in compiled) == 1

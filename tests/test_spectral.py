@@ -1,17 +1,62 @@
 """Split-step solver against exact solutions; quadrature conventions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsenergy.algebra import Density, Monomial
 from nlsenergy.energy import quadratic_density, solve_energy
+from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import ibp_generators
 from nlsenergy.spectral import (BlowupError, PaddingError, SolverConfig,
-                                energy_value, evaluate_density,
-                                evaluate_monomial, evaluate_real, evolve,
-                                hamiltonian, l2_norm, momentum, plane_wave,
-                                plane_wave_solution, random_state,
+                                _half_linear, _nonlinear_rotation,
+                                _rotation_slots, compile_density,
+                                energy_value, evaluate_density, evaluate_real,
+                                evolve, hamiltonian, l2_norm, momentum,
+                                plane_wave, plane_wave_solution, random_state,
                                 sobolev_norm, step, wavenumbers)
+
+
+def _naive_monomial(u_hat, monomial, grid_factor=None):
+    """Reference evaluator, one inverse FFT per factor: the exact-quadrature
+    value of one monomial and the size of the grid values averaged for it,
+    2 pi mean |product|."""
+    n_modes = len(u_hat)
+    q = monomial.signature[0] + monomial.signature[1]
+    m = n_modes * (q // 2 + 1) if grid_factor is None else n_modes * grid_factor
+    if m < q * (n_modes // 2) + 1:
+        raise PaddingError(f"grid of {m} points aliases a {q}-factor product")
+    n = wavenumbers(n_modes)
+    prod = np.ones(m, dtype=complex)
+    for order, conjugated in monomial.factors():
+        spec = np.zeros(m, dtype=complex)
+        spec[n % m] = u_hat * (1j * n.astype(float)) ** order
+        g = np.fft.ifft(spec) * m
+        prod = prod * (np.conj(g) if conjugated else g)
+    return complex(2 * np.pi * np.mean(prod)), float(2 * np.pi * np.mean(np.abs(prod)))
+
+
+def _naive_density(u_hat, density, grid_factor=None):
+    """Reference value of a density, monomial by monomial, with pair
+    monomials on the per-mode symbol path under the default grid; and the
+    size of everything summed for it."""
+    n = wavenumbers(len(u_hat)).astype(float)
+    power = np.abs(u_hat) ** 2
+    total, scale = 0j, 0.0
+    for m, c in density.terms():
+        c = complex(c)
+        if grid_factor is None and m.signature[:2] == (1, 1):
+            a, b = m.u_orders[0], m.c_orders[0]
+            total += c * 2 * np.pi * np.sum((1j * n) ** a * (-1j * n) ** b * power)
+            scale += abs(c) * 2 * np.pi * np.sum(np.abs(n) ** (a + b) * power)
+        else:
+            value, size = _naive_monomial(u_hat, m, grid_factor)
+            total += c * value
+            scale += abs(c) * size
+    return total, scale
 
 
 def test_plane_wave_matches_exact_solution():
@@ -52,12 +97,12 @@ def test_momentum_survives_nonlinear_evolution():
 
 def test_quadrature_padding_threshold():
     u = random_state(8, seed=1)
-    m = Monomial((1, 0, 0), (1, 0, 0))     # six factors: needs 6*4+1 points
+    m = Density.monomial((1, 0, 0), (1, 0, 0))   # six factors: needs 6*4+1 points
     with pytest.raises(PaddingError):
-        evaluate_monomial(u, m, grid_factor=3)
-    base = evaluate_monomial(u, m)         # default grid is exactly enough
+        evaluate_density(u, m, grid_factor=3)
+    base = evaluate_density(u, m)          # default grid is exactly enough
     for factor in (4, 5, 6):
-        again = evaluate_monomial(u, m, grid_factor=factor)
+        again = evaluate_density(u, m, grid_factor=factor)
         assert abs(again - base) <= 1e-12 * max(1.0, abs(base))
 
 
@@ -77,11 +122,13 @@ def test_pair_symbol_path_matches_grid_quadrature():
 
 def test_mass_quadrature_matches_parseval():
     u = random_state(16, seed=6)
-    mass = evaluate_monomial(u, Monomial((0,), (0,)))
+    # grid_factor 2 is the default grid of a two-factor product, so the
+    # pair monomials take the grid quadrature here, not the symbol path
+    mass = evaluate_density(u, Density.monomial((0,), (0,)), grid_factor=2)
     assert mass.real == pytest.approx(l2_norm(u) ** 2, rel=1e-13)
     assert abs(mass.imag) < 1e-13
     n = wavenumbers(16).astype(float)
-    grad = evaluate_monomial(u, Monomial((1,), (1,)))
+    grad = evaluate_density(u, Density.monomial((1,), (1,)), grid_factor=2)
     assert grad.real == pytest.approx(
         float(2 * np.pi * np.sum(n * n * np.abs(u) ** 2)), rel=1e-12)
 
@@ -152,3 +199,95 @@ def test_random_state_is_reproducible():
     assert sobolev_norm(a, 1) == pytest.approx(2.0, rel=1e-12)
     n = wavenumbers(32)
     assert np.all(a[np.abs(n) > 8] == 0)
+
+
+def test_evolve_one_step_is_step():
+    u = random_state(64, seed=13)
+    for config in (SolverConfig(n_modes=64, dt=1e-3, p=2),
+                   SolverConfig(n_modes=64, dt=-2e-3, p=3, padding_factor=5)):
+        assert np.array_equal(evolve(u, config, 1), step(u, config))
+
+
+def test_evolve_is_the_merged_composition_of_its_helpers():
+    config = SolverConfig(n_modes=32, dt=1e-3, p=2)
+    slots = _rotation_slots(config)
+    u = random_state(32, seed=14)
+    want = _nonlinear_rotation(_half_linear(u, 0.5 * config.dt), config, slots)
+    for _ in range(6):
+        want = _nonlinear_rotation(_half_linear(want, config.dt), config, slots)
+    want = _half_linear(want, 0.5 * config.dt)
+    assert np.array_equal(evolve(u, config, 7), want)
+
+
+def test_plan_matches_naive_evaluator_on_a_solved_energy():
+    # 256 modes put the 160 ten-factor terms of the k=6 exact derivative
+    # into several chunks of the product buffer
+    u = random_state(256, seed=15)
+    density = solve_energy(6, 2).exact_derivative
+    want, scale = _naive_density(u, density)
+    assert abs(evaluate_density(u, density) - want) <= 1e-12 * scale
+
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def _monomials(draw):
+    if draw(st.booleans()):     # pair monomial: the symbol path
+        return Monomial((draw(st.integers(0, 6)),), (draw(st.integers(0, 6)),))
+    u_orders = draw(st.lists(st.integers(0, 6), max_size=10))
+    c_orders = draw(st.lists(st.integers(0, 6), min_size=0 if u_orders else 1,
+                             max_size=10 - len(u_orders)))
+    return Monomial(tuple(u_orders), tuple(c_orders))
+
+
+_densities = st.lists(
+    st.tuples(_monomials(), st.builds(GaussianRational, _fractions, _fractions)),
+    min_size=1, max_size=8).map(Density.from_terms)
+
+
+@st.composite
+def _states(draw):
+    """Every mode filled, so an aliasing grid would show in the value."""
+    n_modes = draw(st.sampled_from([8, 16, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = wavenumbers(n_modes)
+    return ((rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes))
+            / (1 + np.abs(n)) ** 2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(density=_densities, u_hat=_states(),
+       grid_factor=st.one_of(st.none(), st.integers(1, 7)))
+def test_plan_matches_naive_evaluator(density, u_hat, grid_factor):
+    n_modes = len(u_hat)
+    if grid_factor is not None and any(
+            n_modes * grid_factor < (len(m.u_orders) + len(m.c_orders)) * (n_modes // 2) + 1
+            for m in density.monomials()):
+        with pytest.raises(PaddingError):
+            evaluate_density(u_hat, density, grid_factor)
+        return
+    want, scale = _naive_density(u_hat, density, grid_factor)
+    got = evaluate_density(u_hat, density, grid_factor)
+    assert abs(got - want) <= 1e-12 * scale
+    # the term scale bounds the value and is bounded by the summed grid sizes
+    assert abs(got) <= got.term_scale * (1 + 1e-12)
+    assert got.term_scale <= scale * (1 + 1e-12)
+
+
+def test_imaginary_residue_is_measured_against_the_term_scale():
+    u = random_state(32, seed=8, r_h1=3.0)
+    sextic = Density.monomial((0, 0, 0), (0, 0, 0))
+    density = Density.monomial((1,), (1,)) + sextic * Fraction(1, 3)
+    scale = evaluate_density(u, density).term_scale
+    assert scale > 1.0
+    sextic_value = evaluate_real(u, sextic)
+    # an imaginary part delta of the |u|^6 coefficient adds delta * sextic_value
+    group = compile_density(density).groups[0]
+    for share, raises in ((0.1, False), (10.0, True)):
+        group.coeffs[0] = 1 / 3 + 1j * share * 1e-9 * scale / sextic_value
+        if raises:
+            with pytest.raises(ArithmeticError):
+                evaluate_real(u, density)
+        else:
+            evaluate_real(u, density)

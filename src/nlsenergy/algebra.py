@@ -27,9 +27,10 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .rational import GaussianRational, I
+from .rational import GaussianRational
 
 
 class Factor(NamedTuple):
@@ -72,7 +73,8 @@ class Monomial:
     @property
     def derivative_factor_count(self) -> int:
         """Number of factors carrying at least one derivative."""
-        return sum(1 for o in self.u_orders if o) + sum(1 for o in self.c_orders if o)
+        return (len(self.u_orders) + len(self.c_orders)
+                - self.u_orders.count(0) - self.c_orders.count(0))
 
     def factors(self) -> Iterator[Factor]:
         for o in self.u_orders:
@@ -91,6 +93,16 @@ class Monomial:
         us = " ".join(f"d^{o}[u]" for o in self.u_orders)
         cs = " ".join(f"d^{o}[conj(u)]" for o in self.c_orders)
         return " ".join(part for part in (us, cs) if part)
+
+
+def _monomial(u_orders: tuple[int, ...], c_orders: tuple[int, ...]) -> Monomial:
+    """Internal constructor for orders derived from valid ones (a shift,
+    a bump, a concatenation): sorts them into canonical form but skips the
+    validation `Monomial` runs on every construction."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "u_orders", tuple(sorted(u_orders, reverse=True)))
+    object.__setattr__(m, "c_orders", tuple(sorted(c_orders, reverse=True)))
+    return m
 
 
 def _add_term(acc: dict, m: Monomial, c: GaussianRational):
@@ -230,10 +242,12 @@ def dt_linear(e: Density) -> Density:
     """
     acc: dict[Monomial, GaussianRational] = {}
     for m, c in e._terms.items():
+        times_i = GaussianRational(-c.im, c.re)
+        times_minus_i = GaussianRational(c.im, -c.re)
         for idx in range(len(m.u_orders)):
-            _add_term(acc, Monomial(_bump(m.u_orders, idx, 2), m.c_orders), c * I)
+            _add_term(acc, _monomial(_bump(m.u_orders, idx, 2), m.c_orders), times_i)
         for idx in range(len(m.c_orders)):
-            _add_term(acc, Monomial(m.u_orders, _bump(m.c_orders, idx, 2)), c * (-I))
+            _add_term(acc, _monomial(m.u_orders, _bump(m.c_orders, idx, 2)), times_minus_i)
     return Density(acc)
 
 
@@ -256,6 +270,34 @@ def _power_derivative(p: int, order: int) -> tuple[tuple[tuple[int, ...], tuple[
     return tuple((uo, co, w) for (uo, co), w in terms.items())
 
 
+def _nonlinear_weights(m: Monomial, p: int) -> dict[Monomial, int]:
+    """Integer weights w_j with dt_nonlinear(m) = i * sum_j w_j * m_j.
+
+    Substituting any one of several equal factors gives the same term, so
+    each distinct order is substituted once, weighted by its multiplicity.
+    """
+    out: dict[Monomial, int] = {}
+    u, c = m.u_orders, m.c_orders
+    for idx, a in enumerate(u):
+        if idx and u[idx - 1] == a:
+            continue
+        weight = u.count(a)
+        rest = u[:idx] + u[idx + 1:]
+        for uo, co, w in _power_derivative(p, a):
+            key = _monomial(rest + uo, c + co)
+            out[key] = out.get(key, 0) - weight * w
+    for idx, a in enumerate(c):
+        if idx and c[idx - 1] == a:
+            continue
+        weight = c.count(a)
+        rest = c[:idx] + c[idx + 1:]
+        for uo, co, w in _power_derivative(p, a):
+            # conjugated substitution: +i d^a[conj(u)^{p+1} u^p]
+            key = _monomial(u + co, rest + uo)
+            out[key] = out.get(key, 0) + weight * w
+    return out
+
+
 def dt_nonlinear(e: Density, p: int) -> Density:
     """Formal time derivative along dt u = -i u^{p+1} conj(u)^p.
 
@@ -266,17 +308,24 @@ def dt_nonlinear(e: Density, p: int) -> Density:
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"nonlinearity exponent p must be an int >= 2, got {p!r}")
-    acc: dict[Monomial, GaussianRational] = {}
+    # real and imaginary parts are summed apart: i w (x + iy) = -w y + i w x,
+    # so each term costs one or two rational products by an integer
+    re_acc: dict[Monomial, Fraction] = {}
+    im_acc: dict[Monomial, Fraction] = {}
     for m, c in e._terms.items():
-        for idx, a in enumerate(m.u_orders):
-            rest = m.u_orders[:idx] + m.u_orders[idx + 1:]
-            for uo, co, w in _power_derivative(p, a):
-                _add_term(acc, Monomial(rest + uo, m.c_orders + co), c * (-I) * w)
-        for idx, a in enumerate(m.c_orders):
-            rest = m.c_orders[:idx] + m.c_orders[idx + 1:]
-            for uo, co, w in _power_derivative(p, a):
-                # conjugated substitution: +i d^a[conj(u)^{p+1} u^p]
-                _add_term(acc, Monomial(m.u_orders + co, rest + uo), c * I * w)
+        x, y = c.re, c.im
+        for key, w in _nonlinear_weights(m, p).items():
+            if not w:
+                continue
+            if y:
+                re_acc[key] = re_acc.get(key, 0) - w * y
+            if x:
+                im_acc[key] = im_acc.get(key, 0) + w * x
+    acc: dict[Monomial, GaussianRational] = {}
+    for key in re_acc.keys() | im_acc.keys():
+        c = GaussianRational(re_acc.get(key, 0), im_acc.get(key, 0))
+        if c:
+            acc[key] = c
     return Density(acc)
 
 
@@ -317,5 +366,6 @@ def density_from_text(text: str) -> Density:
                 raise ValueError(f"malformed factor token: {tok!r}")
             (c_orders if match.group(2).startswith("conj") else u_orders).append(
                 int(match.group(1)))
-        _add_term(acc, Monomial(tuple(u_orders), tuple(c_orders)), coeff)
+        # the pattern admits only digit strings, so every order is an int >= 0
+        _add_term(acc, _monomial(u_orders, c_orders), coeff)
     return Density(acc)

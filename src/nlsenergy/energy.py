@@ -29,14 +29,14 @@ from pathlib import Path
 from .algebra import (Density, Monomial, density_from_text, density_to_text,
                       dt_evolution, dt_linear, dt_nonlinear)
 from .rational import GaussianRational
-from .reduction import (MonomialClass, SectorReducer, classify,
-                        enumerate_monomials, ibp_generators)
+from .reduction import MonomialClass, SectorReducer, classify, ibp_generators
 
 SCHEMA_VERSION = 1
 
 
 class InfeasibleSystemError(RuntimeError):
-    """The cancellation system admits no exact solution."""
+    """The cancellation system admits no exact solution, or none whose
+    cubic weight is well defined."""
 
     def __init__(self, message: str, residual: Density):
         super().__init__(message)
@@ -189,6 +189,14 @@ def cubic_density(k: int, p: int) -> Density:
     return Density({cubic_monomial(k, p): GaussianRational(1)}).im_part()
 
 
+def _in_class(k: int, p: int, cls: MonomialClass):
+    """Membership in one monomial class, as a reducer's `allowed` predicate."""
+    return lambda m: classify(m, k, p) is cls
+
+
+# Each cached reducer builds only the generators that survive projection: a
+# product whose every Leibniz term is allowed gives an empty row.
+
 @functools.lru_cache(maxsize=None)
 def dispersive_reducer(k: int, p: int) -> SectorReducer:
     """Cached echelon of the dispersive sector (p+1, p+1, 2k).
@@ -196,26 +204,31 @@ def dispersive_reducer(k: int, p: int) -> SectorReducer:
     Allowed coordinates: the quartic-remainder monomials.  Shared by the
     solver, identity verification, and document validation.
     """
-    sector = (p + 1, p + 1, 2 * k)
-    allowed = [m for m in enumerate_monomials(sector, 2 * k)
-               if classify(m, k, p) is MonomialClass.QUARTIC_REMAINDER]
-    return SectorReducer(ibp_generators(sector, 2 * k), allowed)
+    # a product with four or more derivative-bearing factors differentiates
+    # into terms with at least as many
+    return SectorReducer(
+        ibp_generators((p + 1, p + 1, 2 * k), 2 * k,
+                       keep=lambda base: base.derivative_factor_count <= 3),
+        _in_class(k, p, MonomialClass.QUARTIC_REMAINDER))
 
+
+# a product with every order at most k-2 differentiates into terms with
+# every order at most k-1
 
 @functools.lru_cache(maxsize=None)
 def _nonlinear_reducer(k: int, p: int) -> SectorReducer:
-    sector = (2 * p + 1, 2 * p + 1, 2 * k - 2)
-    allowed = [m for m in enumerate_monomials(sector, 2 * k - 2)
-               if classify(m, k, p) is MonomialClass.NONLINEAR_REMAINDER]
-    return SectorReducer(ibp_generators(sector, 2 * k - 2), allowed)
+    return SectorReducer(
+        ibp_generators((2 * p + 1, 2 * p + 1, 2 * k - 2), 2 * k - 2,
+                       keep=lambda base: base.max_order >= k - 1),
+        _in_class(k, p, MonomialClass.NONLINEAR_REMAINDER))
 
 
 @functools.lru_cache(maxsize=None)
 def _correction_reducer(k: int, p: int) -> SectorReducer:
-    sector = (p + 1, p + 1, 2 * k - 2)
-    allowed = [m for m in enumerate_monomials(sector, 2 * k - 2)
-               if classify(m, k, p) is MonomialClass.CORRECTION]
-    return SectorReducer(ibp_generators(sector, 2 * k - 2), allowed)
+    return SectorReducer(
+        ibp_generators((p + 1, p + 1, 2 * k - 2), 2 * k - 2,
+                       keep=lambda base: base.max_order >= k - 1),
+        _in_class(k, p, MonomialClass.CORRECTION))
 
 
 # only documents whose F_k is a rewrite of the catalogue combination need
@@ -330,13 +343,20 @@ def solve_energy(k: int, p: int) -> EnergyDefinition:
     return _solve_energy_cached(k, p)
 
 
+# the power part of d/dt |d^k u|^2: the solver's right-hand side and a
+# summand of every assembled derivative; solve_energy assembles right after
+# solving, so one entry is enough
+@functools.lru_cache(maxsize=1)
+def _power_part(k: int, p: int) -> Density:
+    return dt_nonlinear(Density.monomial((k,), (k,)), p)
+
+
 @functools.lru_cache(maxsize=None)
 def _solve_energy_cached(k: int, p: int) -> EnergyDefinition:
     _check_kp(k, p)
     catalogue = build_catalogue(k, p)
     reducer = dispersive_reducer(k, p)
-    power_part = dt_nonlinear(Density.monomial((k,), (k,)), p)
-    rhs = -1 * reducer.reduce(power_part).residual
+    rhs = -1 * reducer.reduce(_power_part(k, p)).residual
     columns = [reducer.reduce(dt_linear(e.density)).residual for e in catalogue]
     names = [e.name for e in catalogue]
     if k % 3 == 0:
@@ -351,9 +371,15 @@ def _solve_energy_cached(k: int, p: int) -> EnergyDefinition:
             f"{len(leftover)} unsatisfied equations", -1 * rhs)
     # the surviving cubic weight must not depend on which unknowns were pinned
     alt, alt_left = _solve_pinned(rows, n, list(range(n - 1, -1, -1)))
-    assert not alt_left
-    if k % 3 == 0:
-        assert solution[-1] == alt[-1], "cubic weight depends on the tie-break"
+    if alt_left:
+        raise InfeasibleSystemError(
+            f"cancellation system for (k={k}, p={p}) is infeasible when solved "
+            f"in reverse pivot order; {len(alt_left)} unsatisfied equations", -1 * rhs)
+    if k % 3 == 0 and solution[-1] != alt[-1]:
+        raise InfeasibleSystemError(
+            f"cubic weight for (k={k}, p={p}) depends on the tie-break: "
+            f"{solution[-1]} or {alt[-1]}",
+            cubic_density(k, p) * (solution[-1] - alt[-1]))
 
     coefficients = {}
     correction = Density.zero()
@@ -362,8 +388,11 @@ def _solve_energy_cached(k: int, p: int) -> EnergyDefinition:
         if value:
             correction = correction + entry.density * value
     energy = _assemble(k, p, coefficients, correction)
-    if k % 3 == 0:
-        assert energy.cubic_coefficient == solution[-1]
+    if k % 3 == 0 and energy.cubic_coefficient != solution[-1]:
+        raise InfeasibleSystemError(
+            f"assembled cubic coefficient {energy.cubic_coefficient} for (k={k}, p={p}) "
+            f"differs from the solved weight {solution[-1]}",
+            cubic_density(k, p) * (energy.cubic_coefficient - solution[-1]))
     return energy
 
 
@@ -376,7 +405,7 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
         raise CorrectionReductionError(
             f"correction term leaves the correction class: {bad[:3]}")
     reducer = dispersive_reducer(k, p)
-    total = dt_nonlinear(Density.monomial((k,), (k,)), p) + dt_linear(correction)
+    total = _power_part(k, p) + dt_linear(correction)
     res = reducer.reduce(total)
     cubic_coeff = Fraction(0)
     remainder = res.residual
@@ -393,7 +422,8 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
                 remainder)
         cubic_coeff = ratio.as_fraction()
     residual_quartic = res.allowed_part.re_part()
-    residual_nonlinear = dt_nonlinear(correction, p)
+    correction_power = dt_nonlinear(correction, p)
+    residual_nonlinear = correction_power
     if any(classify(m, k, p) is not MonomialClass.NONLINEAR_REMAINDER
            for m in residual_nonlinear.monomials()):
         theta = _nonlinear_reducer(k, p).reduce(residual_nonlinear)
@@ -402,7 +432,10 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
                 f"power-sector residual outside its class for (k={k}, p={p})",
                 theta.residual)
         residual_nonlinear = theta.allowed_part.re_part()
-    exact = dt_evolution(quadratic_density(k) + correction, p)
+    # d/dt (quadratic + F) from the parts built above: `total` holds the
+    # power part of |d^k u|^2 and the dispersive part of F
+    exact = (dt_linear(quadratic_density(k)) + dt_nonlinear(mass_density(), p)
+             + total + correction_power)
     return EnergyDefinition(
         k=k, p=p, coefficients=dict(coefficients), correction=correction,
         residual_quartic=residual_quartic, residual_nonlinear=residual_nonlinear,

@@ -7,21 +7,29 @@ generated by total derivatives: for each product F one order lower, the
 relation  integral d[F] = 0  expands by the Leibniz rule to a linear
 combination of sector monomials.
 
-Equivalence of densities modulo IBP plus a set of *allowed* monomials is
-decided by exact linear algebra: allowed coordinates are projected away,
-the generators are put in echelon form over the remaining coordinates with
-a fixed monomial order, and membership is read off the unique remainder.
-No directed rewriting is involved, so the residual does not depend on the
-order in which generators are supplied.
+Equivalence of densities modulo IBP plus a class of *allowed* monomials is
+decided by exact linear algebra: the allowed class is a predicate on
+monomials (in practice membership in one :class:`MonomialClass`, see
+:func:`classify`), its coordinates are projected away, the generators are
+put in echelon form over the remaining coordinates with a fixed monomial
+order, and membership is read off the unique remainder.  No directed
+rewriting is involved, so the residual does not depend on the order in
+which generators are supplied.
+
+A generator whose Leibniz terms are all allowed projects to an empty row
+and never enters the echelon, so callers that know which products
+differentiate into allowed terms only leave those generators out (the
+`keep` argument of :func:`ibp_generators`); the cached reducers of
+:mod:`nlsenergy.energy` hold only the generators that survive projection.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
-from .algebra import Density, Monomial
+from .algebra import Density, Monomial, _monomial
 from .rational import GaussianRational
 
 Signature = tuple[int, int, int]
@@ -60,32 +68,43 @@ def enumerate_monomials(signature: Signature, max_order: int) -> list[Monomial]:
         s_c = total - s_u
         for uo in bounded_partitions(s_u, n_u, max_order):
             for co in bounded_partitions(s_c, n_c, max_order):
-                out.append(Monomial(uo, co))
+                out.append(_monomial(uo, co))
     return out
 
 
-def ibp_generators(signature: Signature, max_order: int) -> list[Density]:
+def ibp_generators(signature: Signature, max_order: int,
+                   keep: Callable[[Monomial], bool] | None = None) -> list[Density]:
     """Total-derivative relations spanning the IBP subspace of a sector.
 
     One generator per product of signature (n_u, n_c, total-1): the Leibniz
     expansion of its derivative, all coefficients +1.  With the default cap
-    max_order = total this is the complete IBP span of the sector.
+    max_order = total this is the complete IBP span of the sector.  If
+    `keep` is given, only the products it accepts get a generator; a caller
+    uses it to skip the products whose every Leibniz term is in its allowed
+    class, since their generators project to zero.
     """
     n_u, n_c, total = signature
     if total == 0:
         return []
+    counts = [GaussianRational(n) for n in range(n_u + n_c + 1)]
     gens = []
     for base in enumerate_monomials((n_u, n_c, total - 1), max_order - 1):
-        pairs = []
+        if keep is not None and not keep(base):
+            continue
+        # the terms of equal factors coincide, so each term's coefficient
+        # is its multiplicity
+        multiplicity: dict[Monomial, int] = {}
         for idx in range(n_u):
             lst = list(base.u_orders)
             lst[idx] += 1
-            pairs.append((Monomial(tuple(lst), base.c_orders), 1))
+            m = _monomial(lst, base.c_orders)
+            multiplicity[m] = multiplicity.get(m, 0) + 1
         for idx in range(n_c):
             lst = list(base.c_orders)
             lst[idx] += 1
-            pairs.append((Monomial(base.u_orders, tuple(lst)), 1))
-        gens.append(Density.from_terms(pairs))
+            m = _monomial(base.u_orders, lst)
+            multiplicity[m] = multiplicity.get(m, 0) + 1
+        gens.append(Density({m: counts[n] for m, n in multiplicity.items()}))
     return gens
 
 
@@ -132,30 +151,36 @@ class ReductionResult:
         return acc
 
 
+def _nothing_allowed(m: Monomial) -> bool:
+    return False
+
+
 class SectorReducer:
     """Echelon form of a generator span, reusable across many reductions.
 
-    `allowed` monomials are coordinates that membership testing may use
-    freely; they are projected out of the elimination and collected into
-    the `allowed_part` of each result.  Pivoting is deterministic: the
-    largest monomial in canonical order is eliminated first.
+    `allowed` is a predicate on monomials, typically membership in one
+    :class:`MonomialClass`; the monomials it accepts are coordinates that
+    membership testing may use freely.  They are projected out of the
+    elimination and collected into the `allowed_part` of each result, so a
+    generator with only allowed terms adds nothing to the echelon and may
+    be left out of `generators`.  Pivoting is deterministic: the largest
+    monomial in canonical order is eliminated first.
     """
 
-    def __init__(self, generators: Sequence[Density], allowed: Iterable[Monomial] = ()):
+    def __init__(self, generators: Sequence[Density],
+                 allowed: Callable[[Monomial], bool] | None = None):
         self.generators = list(generators)
-        self.allowed = frozenset(allowed)
+        self.allowed = _nothing_allowed if allowed is None else allowed
         sigs: set[Signature] = set()
         for g in self.generators:
             sigs |= g.signatures()
-        for m in self.allowed:
-            sigs.add(m.signature)
         if len(sigs) > 1:
             raise SignatureMismatchError(f"mixed signatures in sector inputs: {sorted(sigs)}")
         self.signature = next(iter(sigs)) if sigs else None
         # pivot monomial -> (normalized row, generator combination)
         self._rows: dict[Monomial, tuple[dict, dict]] = {}
         for idx, g in enumerate(self.generators):
-            row = {m: c for m, c in g.terms() if m not in self.allowed}
+            row = {m: c for m, c in g.terms() if not self.allowed(m)}
             self._insert(row, {idx: GaussianRational(1)})
 
     @property
@@ -194,10 +219,11 @@ class SectorReducer:
             if bad:
                 raise SignatureMismatchError(
                     f"expression signatures {sorted(bad)} outside sector {self.signature}")
+        allowed = self.allowed
         row: dict[Monomial, GaussianRational] = {}
         direct_allowed: dict[Monomial, GaussianRational] = {}
         for m, c in expr.terms():
-            (direct_allowed if m in self.allowed else row)[m] = c
+            (direct_allowed if allowed(m) else row)[m] = c
         acc: dict[int, GaussianRational] = {}
         residual: dict[Monomial, GaussianRational] = {}
         while row:
@@ -225,7 +251,7 @@ class SectorReducer:
             lift: dict[Monomial, GaussianRational] = {}
             for i, c in acc.items():
                 for m, gc in self.generators[i].terms():
-                    if m in self.allowed:
+                    if allowed(m):
                         cur = lift.get(m, _ZERO) + c * gc
                         if cur:
                             lift[m] = cur
@@ -244,7 +270,7 @@ _ZERO = GaussianRational(0)
 
 
 def reduce_modulo(expr: Density, generators: Sequence[Density],
-                  allowed: Iterable[Monomial] = ()) -> ReductionResult:
+                  allowed: Callable[[Monomial], bool] | None = None) -> ReductionResult:
     """One-shot reduction; see :class:`SectorReducer` for the contract."""
     return SectorReducer(generators, allowed).reduce(expr)
 

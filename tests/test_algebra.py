@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlsenergy.algebra import (Density, Monomial, density_from_text,
-                               density_to_text, dt_evolution, dt_linear,
-                               dt_nonlinear)
-from nlsenergy.rational import GaussianRational
+from nlsenergy.algebra import (Density, Monomial, _monomial, _power_derivative,
+                               density_from_text, density_to_text,
+                               dt_evolution, dt_linear, dt_nonlinear)
+from nlsenergy.rational import GaussianRational, I
 
 
 def test_monomial_orders_are_canonically_sorted():
@@ -166,3 +168,79 @@ def test_power_substitution_matches_sympy(density, p):
 def test_full_derivative_is_sum_of_parts():
     d = Density.monomial((4,), (4,)) + Density.monomial((0,), (0,))
     assert dt_evolution(d, 2) == dt_linear(d) + dt_nonlinear(d, 2)
+
+
+# -- per-term reference formulas --------------------------------------------
+
+def _naive_dt_linear(e: Density) -> Density:
+    """Reference for dt_linear: one general complex product and one
+    validated Monomial per term."""
+    pairs = []
+    for m, c in e.terms():
+        for idx in range(len(m.u_orders)):
+            orders = list(m.u_orders)
+            orders[idx] += 2
+            pairs.append((Monomial(tuple(orders), m.c_orders), c * I))
+        for idx in range(len(m.c_orders)):
+            orders = list(m.c_orders)
+            orders[idx] += 2
+            pairs.append((Monomial(m.u_orders, tuple(orders)), c * (-I)))
+    return Density.from_terms(pairs)
+
+
+def _naive_dt_nonlinear(e: Density, p: int) -> Density:
+    """Reference for dt_nonlinear: every factor substituted in turn, equal
+    factors included, with two general complex products and one validated
+    Monomial per Leibniz term."""
+    pairs = []
+    for m, c in e.terms():
+        for idx, a in enumerate(m.u_orders):
+            rest = m.u_orders[:idx] + m.u_orders[idx + 1:]
+            for uo, co, w in _power_derivative(p, a):
+                pairs.append((Monomial(rest + uo, m.c_orders + co), c * (-I) * w))
+        for idx, a in enumerate(m.c_orders):
+            rest = m.c_orders[:idx] + m.c_orders[idx + 1:]
+            for uo, co, w in _power_derivative(p, a):
+                pairs.append((Monomial(m.u_orders + co, rest + uo), c * I * w))
+    return Density.from_terms(pairs)
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_orders = st.lists(st.integers(0, 5), max_size=4)
+_coefficients = st.one_of(
+    st.builds(GaussianRational, _fractions, _fractions.filter(bool)),
+    st.builds(GaussianRational, st.just(0), _fractions.filter(bool)),
+    st.builds(GaussianRational, _fractions))
+# orders are drawn with repeats on purpose: equal factors are grouped by the
+# kernel and substituted one at a time by the reference
+_densities = st.lists(
+    st.tuples(st.builds(lambda u, c: Monomial(tuple(u), tuple(c)), _orders, _orders),
+              _coefficients),
+    min_size=1, max_size=6).map(Density.from_terms)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(density=_densities, p=st.sampled_from([2, 3]))
+def test_substitutions_match_the_per_term_formulas(density, p):
+    assert dt_nonlinear(density, p) == _naive_dt_nonlinear(density, p)
+    assert dt_linear(density) == _naive_dt_linear(density)
+
+
+def test_substitutions_match_on_conjugated_and_plain_factors():
+    c = GaussianRational(Fraction(2, 3), Fraction(-5, 7))
+    for u, v in [((3, 0, 0), ()), ((), (2, 2, 1)), ((4, 1, 1), (2, 0)), ((0,), (0,))]:
+        d = Density.monomial(u, v, coeff=c)
+        for p in (2, 3, 4):
+            assert dt_nonlinear(d, p) == _naive_dt_nonlinear(d, p)
+        assert dt_linear(d) == _naive_dt_linear(d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(u=_orders, c=_orders)
+def test_internal_constructor_matches_monomial(u, c):
+    trusted = _monomial(u, c)
+    checked = Monomial(tuple(u), tuple(c))
+    assert trusted == checked
+    assert hash(trusted) == hash(checked)
+    assert (trusted.u_orders, trusted.c_orders) == (checked.u_orders, checked.c_orders)
+    assert {trusted: 1}[checked] == 1

@@ -1,5 +1,6 @@
 """Catalogue construction, solved energies, identity grid, serialization."""
 
+import ast
 import dataclasses
 import json
 from fractions import Fraction
@@ -7,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import nlsenergy
 from nlsenergy import energy as energy_module
 from nlsenergy.algebra import (Density, Monomial, density_from_text,
                                density_to_text, dt_linear)
-from nlsenergy.energy import (EnergyDocumentError, Family, _assemble,
+from nlsenergy.energy import (EnergyDocumentError, Family,
+                              InfeasibleSystemError, _assemble,
                               basic_density, build_catalogue,
                               correction_density, cubic_density,
                               cubic_monomial, dispersive_reducer,
@@ -227,6 +230,33 @@ def test_frozen_document_matches_fresh_solve():
         "2438b404f67284ba0f1c1d1b21a41e59982de15fdc7ae38b8a15bd7cf52630ab"
 
 
+# energy_hash of every document on the k 2..8 x p {2,3} grid plus (12,2) and
+# (12,4); a change to the symbolic layer that alters any document fails here
+PINNED_HASHES = {
+    (2, 2): "d8373e67e2547bd587f614052534a14408853845db216528ea237f2d5c533b8d",
+    (2, 3): "67503b096e3f673fe91612efd8b0e23b5fbc08747d8fbfa3e3f28e96d77f310e",
+    (3, 2): "365d2c3461b5b62163ac7baee68ebb9ba1e8ff37f4f0c3ce524ce6c12ccd4deb",
+    (3, 3): "4f8fd125bc10de717ae1754d38e69139705a964191adde1f942ec0bb1c9b80a0",
+    (4, 2): "4a5790a222494d992b5a5971f2907c9bdd22a2f8a7ece17f5fc37b01178d6c94",
+    (4, 3): "e083a332a177e07b81305bb71af0d555b913dd24a7fe396d13302c2060cd7b26",
+    (5, 2): "2438b404f67284ba0f1c1d1b21a41e59982de15fdc7ae38b8a15bd7cf52630ab",
+    (5, 3): "dd712045c0a0f0ff6e752c331a77e5ab987988ff2ed1780cc19a6bfa98a54030",
+    (6, 2): "545c5d4c74fa01ed8c3e9fc4ec736f20374f89d2b0cfe113545dcbcf56a954ad",
+    (6, 3): "be10de27bafec996e1fdab30bbd495a849e6c2408f25ba0705e9cd0673d67dc6",
+    (7, 2): "8116405d4707d436443e15baf070d11bb26907fc4da12b2f10c21246b06b2d6e",
+    (7, 3): "77e1be2b9e5f91fd77b7d680bee1a491d40f6b8bf1ba1fc4fc0fa81081c82991",
+    (8, 2): "2051210d741db0c1192ddc2b8067bb1f37e1d4262be177c8a400f1e8d7447713",
+    (8, 3): "ce4f50acd5f3880dcd04184d95e59b47d8fce5594bb0fa16a2d1df6a76653d5f",
+    (12, 2): "a69d267c131f4174582e99f7470b956619f63f9fb0b14275abbb071b8d993a46",
+    (12, 4): "7dbd64078b0199c33d8ef48aeb010ee9978882323cd2db9ef945c02580eec64b",
+}
+
+
+@pytest.mark.parametrize("k,p", sorted(PINNED_HASHES))
+def test_energy_hash_is_pinned(k, p):
+    assert energy_hash(solve_energy(k, p)) == PINNED_HASHES[(k, p)]
+
+
 def _flip_coefficient(doc):
     doc["coefficients"]["aligned_u[1]"] = "-2"
 
@@ -318,9 +348,9 @@ def test_reduction_to_correction_class_strips_ibp_shifts():
 def test_import_builds_the_correction_sector_reducer_once(monkeypatch):
     built = []
 
-    def counting_generators(sector, order):
+    def counting_generators(sector, order, **kwargs):
         built.append(sector)
-        return ibp_generators(sector, order)
+        return ibp_generators(sector, order, **kwargs)
 
     monkeypatch.setattr(energy_module, "ibp_generators", counting_generators)
     energy_module._correction_ibp_reducer.cache_clear()
@@ -335,3 +365,65 @@ def test_import_builds_the_correction_sector_reducer_once(monkeypatch):
     with pytest.raises(EnergyDocumentError):
         import_energy(scaled)
     assert built.count((3, 3, 6)) == 1
+
+
+# -- solver invariants are explicit exceptions --------------------------------
+
+def _patched_solver(monkeypatch, second_call=None, every_call=None):
+    """Wrap _solve_pinned: `second_call` edits the reverse-order solve,
+    `every_call` edits both."""
+    original = energy_module._solve_pinned
+    calls = []
+
+    def wrapped(rows, n, column_order):
+        solution, leftover = original(rows, n, column_order)
+        calls.append(column_order)
+        if every_call is not None:
+            solution, leftover = every_call(solution, leftover)
+        if second_call is not None and len(calls) == 2:
+            solution, leftover = second_call(solution, leftover)
+        return solution, leftover
+
+    monkeypatch.setattr(energy_module, "_solve_pinned", wrapped)
+
+
+def _bump_cubic_weight(solution, leftover):
+    return solution[:-1] + [solution[-1] + 1], leftover
+
+
+def _solve_uncached(k, p):
+    return energy_module._solve_energy_cached.__wrapped__(k, p)
+
+
+def test_reverse_order_leftover_raises(monkeypatch):
+    _patched_solver(monkeypatch, second_call=lambda s, left: (s, [([Fraction(0)], 1)]))
+    with pytest.raises(InfeasibleSystemError, match="reverse pivot order"):
+        _solve_uncached(3, 2)
+
+
+def test_tie_break_dependent_cubic_weight_raises(monkeypatch):
+    _patched_solver(monkeypatch, second_call=_bump_cubic_weight)
+    with pytest.raises(InfeasibleSystemError, match="depends on the tie-break") as info:
+        _solve_uncached(3, 2)
+    assert info.value.residual == cubic_density(3, 2) * -1
+
+
+def test_cubic_coefficient_mismatch_raises(monkeypatch):
+    _patched_solver(monkeypatch, every_call=_bump_cubic_weight)
+    with pytest.raises(InfeasibleSystemError, match="differs from the solved weight") as info:
+        _solve_uncached(3, 2)
+    assert info.value.residual == cubic_density(3, 2) * -1
+
+
+def test_unpatched_solver_passes_its_invariant_checks():
+    assert _solve_uncached(3, 2) == solve_energy(3, 2)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so invariants must be exceptions
+    found = []
+    for path in sorted(Path(nlsenergy.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

@@ -1,11 +1,15 @@
 """Sector enumeration, integration-by-parts spans, exact reduction."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlsenergy import energy as energy_module
 from nlsenergy.algebra import Density, Monomial
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer,
@@ -98,7 +102,8 @@ def test_allowed_monomials_pass_through():
     sig = (2, 2, 4)
     allowed = [m for m in enumerate_monomials(sig, 4)
                if m.derivative_factor_count >= 4]
-    red = SectorReducer(ibp_generators(sig, 4), allowed)
+    red = SectorReducer(ibp_generators(sig, 4),
+                        lambda m: m.derivative_factor_count >= 4)
     expr = Density({allowed[0]: GaussianRational(5)})
     res = red.reduce(expr)
     assert res.residual.is_zero
@@ -140,3 +145,72 @@ def test_span_coordinates_reject_outside_targets():
         pytest.skip("target happens to be reducible in this sector")
     with pytest.raises(ValueError):
         coordinates_in_span([outside], [b1], red)
+
+
+# -- the cached reducers hold only the generators that survive projection ----
+
+_CACHED = {
+    # name: (cached reducer, sector, allowed class)
+    "dispersive": (energy_module.dispersive_reducer,
+                   lambda k, p: (p + 1, p + 1, 2 * k), MonomialClass.QUARTIC_REMAINDER),
+    "nonlinear": (energy_module._nonlinear_reducer,
+                  lambda k, p: (2 * p + 1, 2 * p + 1, 2 * k - 2),
+                  MonomialClass.NONLINEAR_REMAINDER),
+    "correction": (energy_module._correction_reducer,
+                   lambda k, p: (p + 1, p + 1, 2 * k - 2), MonomialClass.CORRECTION),
+}
+_GRID = [(name, k, p) for name in _CACHED for k in range(2, 6) for p in (2, 3)]
+
+
+def _allowed(name, k, p):
+    cls = _CACHED[name][2]
+    return lambda m: classify(m, k, p) is cls
+
+
+@functools.lru_cache(maxsize=None)
+def _full_span_reducer(name, k, p):
+    sector = _CACHED[name][1](k, p)
+    return SectorReducer(ibp_generators(sector, sector[2]), _allowed(name, k, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_monomials(name, k, p):
+    sector = _CACHED[name][1](k, p)
+    return enumerate_monomials(sector, sector[2])
+
+
+@pytest.mark.parametrize("name,k,p", _GRID)
+def test_cached_reducers_keep_exactly_the_generators_that_survive_projection(name, k, p):
+    allowed = _allowed(name, k, p)
+    surviving = [g for g in _full_span_reducer(name, k, p).generators
+                 if not all(allowed(m) for m in g.monomials())]
+    pruned = _CACHED[name][0](k, p)
+    assert pruned.generators == surviving
+    assert pruned.rank == _full_span_reducer(name, k, p).rank
+
+
+_gaussian = st.builds(GaussianRational,
+                      st.fractions(min_value=-9, max_value=9, max_denominator=11),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=11).filter(bool))
+
+
+@st.composite
+def _sector_expressions(draw):
+    name, k, p = draw(st.sampled_from(_GRID))
+    monomials = _sector_monomials(name, k, p)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(monomials) - 1), _gaussian),
+                          min_size=1, max_size=8))
+    return name, k, p, Density.from_terms((monomials[i], c) for i, c in picks)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_sector_expressions())
+def test_pruned_reducers_match_the_full_span(case):
+    name, k, p, expr = case
+    pruned = _CACHED[name][0](k, p)
+    full = _full_span_reducer(name, k, p)
+    got, want = pruned.reduce(expr), full.reduce(expr)
+    assert got.residual == want.residual
+    assert got.allowed_part == want.allowed_part
+    assert pruned.rank == full.rank
+    assert got.recombine(pruned.generators) == expr

@@ -14,9 +14,8 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from .algebra import density_to_text, dt_linear
-from .energy import (EnergyDocumentError, Family, InfeasibleSystemError,
-                     basic_density, correction_density, dispersive_reducer,
+from .algebra import density_to_text
+from .energy import (EnergyDocumentError, InfeasibleSystemError,
                      import_energy, save_energy, solve_energy,
                      verify_exact_conservation, verify_identities)
 from .harness import (DECOMPOSITION_TOLERANCE, FD_TOLERANCE, RunConfig,
@@ -145,9 +144,7 @@ def build(k, p, out):
 @main.command()
 @click.option("--k", "k_range", default="2..8", show_default=True, metavar="K|K1..K2")
 @click.option("--p", "p_range", default="2..3", show_default=True, metavar="P|P1..P2")
-@click.option("--corrupt", is_flag=True, hidden=True,
-              help="Negate one correction before checking (self-test of the checker).")
-def verify(k_range, p_range, corrupt):
+def verify(k_range, p_range):
     """Verify every structural identity and solve feasibility on a grid."""
     ks = _parse_range(k_range, "k")
     ps = _parse_range(p_range, "p")
@@ -173,15 +170,6 @@ def verify(k_range, p_range, corrupt):
             except InfeasibleSystemError as exc:
                 click.echo(f"infeasible: {exc}", err=True)
                 sys.exit(2)
-    if corrupt:
-        k, p = ks[0], ps[0]
-        tampered = correction_density(Family.ALIGNED_U, k, 1, p) * -1
-        delta = dt_linear(tampered) \
-            - basic_density(Family.ALIGNED_U, k, 0, p) * 2 \
-            + basic_density(Family.ALIGNED_U, k, 1, p) * (2 * (p - 1))
-        ok = dispersive_reducer(k, p).reduce(delta).residual.is_zero
-        failures += not ok
-        click.echo(f"[{'PASS' if ok else 'FAIL'}] k={k} p={p} star[aligned_u[1]] (corrupted)")
     if failures:
         click.echo(f"{failures} check(s) failed", err=True)
         sys.exit(3)
@@ -190,7 +178,6 @@ def verify(k_range, p_range, corrupt):
 
 def _simulate_body(ctx, config_path, energy_path, out, **flags) -> int:
     config = _build_config(ctx, config_path, **flags)
-    _require_kp(config.k, config.p)
     energy = _load_energy(config, energy_path)
     try:
         rows = run_experiment(config, energy)
@@ -231,7 +218,6 @@ def monitor(ctx, config_path, energy_path, out, **flags):
 def crosscheck(ctx, config_path, energy_path, **flags):
     """Check the symbolic derivative against finite differences."""
     config = _build_config(ctx, config_path, **flags)
-    _require_kp(config.k, config.p)
     energy = _load_energy(config, energy_path)
     u_hat = initial_state(config)
     result = derivative_crosscheck(u_hat, energy, config.fd_delta, config.fd_substeps)

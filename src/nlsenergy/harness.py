@@ -21,8 +21,9 @@ import numpy as np
 from . import __version__
 from .energy import (EnergyDefinition, cubic_density, energy_hash,
                      hamiltonian_density)
-from .spectral import (SolverConfig, energy_value, evaluate_real, evolve,
-                       l2_norm, plane_wave, random_state, sobolev_norm)
+from .spectral import (SolverConfig, _check_mode, _check_modes, energy_value,
+                       evaluate_real, evolve, l2_norm, plane_wave,
+                       random_state, sobolev_norm)
 
 CSV_COLUMNS = ("t", "l2", "h1", "hk", "hamiltonian", "E_k", "F_k",
                "dEk_fd", "dEk_exact", "cubic_remainder", "bound_ratio")
@@ -49,8 +50,20 @@ class RunConfig:
     fd_substeps: int = 10
 
     def __post_init__(self):
+        """The one validation point of a run, so that bad input fails here,
+        before any solve or step."""
+        for name in ("k", "p"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 2:
+                raise ValueError(f"{name} must be an int >= 2, got {value!r}")
+        _check_modes(self.n_modes)
+        for name in ("dt", "t_end", "record_dt", "fd_delta", "r_h1", "decay", "amplitude"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.preset not in ("random", "planewave"):
             raise ValueError(f"preset must be 'random' or 'planewave', got {self.preset!r}")
+        if self.preset == "planewave":
+            _check_mode(self.mode, self.n_modes)
         if self.t_end <= 0 or self.dt <= 0 or self.record_dt <= 0:
             raise ValueError("t_end, dt and record_dt must be positive")
         if self.fd_delta <= 0 or self.fd_substeps < 1:

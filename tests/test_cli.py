@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from nlsenergy.cli import main
@@ -33,13 +34,6 @@ def test_verify_single_pair_passes():
     assert result.exit_code == 0
     assert "all checks passed" in result.output
     assert "[FAIL]" not in result.output
-
-
-def test_verify_corrupt_self_test_fails():
-    result = invoke("verify", "--k", "2", "--p", "2", "--corrupt")
-    assert result.exit_code == 3
-    assert "[FAIL]" in result.output
-    assert "(corrupted)" in result.output
 
 
 def test_verify_range_syntax():
@@ -100,6 +94,33 @@ def test_bad_preset_in_config_document(tmp_path):
     result = invoke("simulate", "--config", str(cfg), *FAST,
                     "--out", str(tmp_path / "x.csv"))
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--n-modes", "48"), ("--dt", "nan"), ("--dt", "inf"), ("--t-end", "inf"),
+])
+def test_simulate_rejects_bad_run_flags_as_usage_errors(tmp_path, flag, value):
+    out = tmp_path / "never.csv"
+    result = invoke("simulate", "--k", "2", "--p", "2", *FAST, flag, value,
+                    "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "Error:" in result.stderr
+    assert not out.exists()
+
+
+def test_out_of_range_plane_wave_mode_in_config_document(tmp_path):
+    cfg = tmp_path / "wave.json"
+    cfg.write_text(json.dumps({"preset": "planewave", "mode": 40}))
+    out = tmp_path / "never.csv"
+    result = invoke("simulate", "--config", str(cfg), "--k", "2", "--p", "2",
+                    "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "mode 40 not representable with 64 modes" in result.stderr
+    assert not out.exists()
 
 
 def test_crosscheck_within_tolerance():

@@ -206,6 +206,21 @@ def test_identity_grid_small(k, p):
         len(build_catalogue(k, p))
 
 
+def test_tampered_correction_fails_its_dispersive_identity():
+    # star[aligned_u[1]] at (2, 2) with the correction negated: the checker
+    # must see a nonzero residual where the true correction gives zero
+    k, p = 2, 2
+
+    def delta(sign):
+        return dt_linear(correction_density(Family.ALIGNED_U, k, 1, p) * sign) \
+            - basic_density(Family.ALIGNED_U, k, 0, p) * 2 \
+            + basic_density(Family.ALIGNED_U, k, 1, p) * (2 * (p - 1))
+
+    reducer = dispersive_reducer(k, p)
+    assert reducer.reduce(delta(1)).residual.is_zero
+    assert not reducer.reduce(delta(-1)).residual.is_zero
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_mass_and_hamiltonian_conserved_exactly(p):
     for name, residual in verify_exact_conservation(p).items():

@@ -32,6 +32,25 @@ def test_run_config_validation():
     assert RunConfig.from_dict(dataclasses.asdict(config)) == config
 
 
+@pytest.mark.parametrize("overrides", [
+    {"k": 1}, {"p": 1}, {"k": 2.0}, {"p": "2"}, {"n_modes": 48}, {"n_modes": 4},
+    *({name: value} for name in ("dt", "t_end", "record_dt", "fd_delta",
+                                 "r_h1", "decay", "amplitude")
+      for value in (float("nan"), float("inf"), float("-inf"))),
+    {"preset": "planewave", "mode": 8}, {"preset": "planewave", "mode": -9},
+    {"preset": "planewave", "mode": 1.5},
+])
+def test_run_config_rejects_what_no_run_can_use(overrides):
+    with pytest.raises(ValueError):
+        _small_config(**overrides)
+
+
+def test_run_config_accepts_the_edge_modes():
+    for mode in (-8, 7):
+        _small_config(preset="planewave", mode=mode)
+    _small_config(mode=40)      # a random state ignores the mode
+
+
 def test_record_schedule():
     energy = solve_energy(2, 2)
     rows = run_experiment(_small_config(record_dt=2e-3), energy)

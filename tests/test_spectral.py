@@ -12,11 +12,10 @@ from nlsenergy.energy import quadratic_density, solve_energy
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import ibp_generators
 from nlsenergy.spectral import (BlowupError, PaddingError, SolverConfig,
-                                _half_linear, _nonlinear_rotation,
-                                _rotation_slots, compile_density,
-                                energy_value, evaluate_density, evaluate_real,
-                                evolve, hamiltonian, l2_norm, momentum,
-                                plane_wave, plane_wave_solution, random_state,
+                                _half_linear, compile_density, energy_value,
+                                evaluate_density, evaluate_real, evolve,
+                                hamiltonian, l2_norm, momentum, plane_wave,
+                                plane_wave_solution, random_state,
                                 sobolev_norm, step, wavenumbers)
 
 
@@ -59,6 +58,27 @@ def _naive_density(u_hat, density, grid_factor=None):
     return total, scale
 
 
+def _naive_evolve(u_hat, config, n_steps):
+    """Reference stepper, one step at a time: every nonlinear rotation
+    scatters into a fresh zero-padded spectrum, takes the normalised
+    inverse FFT, rotates by the complex exponential of a float power and
+    gathers the retained modes back; adjacent linear half-steps merged."""
+    m = config.padding_factor * config.n_modes
+    slots = wavenumbers(config.n_modes) % m
+
+    def rotation(v):
+        spec = np.zeros(m, dtype=complex)
+        spec[slots] = v
+        g = np.fft.ifft(spec) * m
+        g = g * np.exp(-1j * config.dt * np.abs(g) ** (2 * config.p))
+        return (np.fft.fft(g) / m)[slots]
+
+    u = rotation(_half_linear(u_hat, 0.5 * config.dt))
+    for _ in range(n_steps - 1):
+        u = rotation(_half_linear(u, config.dt))
+    return _half_linear(u, 0.5 * config.dt)
+
+
 def test_plane_wave_matches_exact_solution():
     config = SolverConfig(n_modes=32, dt=1e-3, p=2)
     u = plane_wave(0.5, 1, 32)
@@ -71,6 +91,7 @@ def test_linear_flow_is_exact():
     config = SolverConfig(n_modes=32, dt=1e-3, p=2, nonlinear=False)
     u = random_state(32, seed=4)
     v = evolve(u, config, 137)
+    assert np.array_equal(v, _half_linear(u, config.dt * 137))
     n = wavenumbers(32).astype(float)
     want = u * np.exp(-1j * n * n * 137 * 1e-3)
     assert np.max(np.abs(v - want)) < 1e-13
@@ -164,6 +185,10 @@ def test_blowup_is_reported():
     config = SolverConfig(n_modes=8, dt=1e-3, p=2)
     with pytest.raises(BlowupError):
         step(plane_wave(1e100, 0, 8), config)
+    # the first rotation angle overflows; the non-finite values must
+    # survive the later steps, masked phase included, to the final check
+    with pytest.raises(BlowupError):
+        evolve(plane_wave(1e100, 0, 8), config, 10)
 
 
 def test_solver_config_validation():
@@ -208,15 +233,27 @@ def test_evolve_one_step_is_step():
         assert np.array_equal(evolve(u, config, 1), step(u, config))
 
 
-def test_evolve_is_the_merged_composition_of_its_helpers():
-    config = SolverConfig(n_modes=32, dt=1e-3, p=2)
-    slots = _rotation_slots(config)
-    u = random_state(32, seed=14)
-    want = _nonlinear_rotation(_half_linear(u, 0.5 * config.dt), config, slots)
-    for _ in range(6):
-        want = _nonlinear_rotation(_half_linear(want, config.dt), config, slots)
-    want = _half_linear(want, 0.5 * config.dt)
-    assert np.array_equal(evolve(u, config, 7), want)
+@pytest.mark.parametrize("n_modes", [32, 64, 256])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("padding_factor", [0, 5])
+@pytest.mark.parametrize("dt", [1e-3, -1e-3])
+def test_evolve_matches_the_naive_stepper(n_modes, p, padding_factor, dt):
+    config = SolverConfig(n_modes=n_modes, dt=dt, p=p, padding_factor=padding_factor)
+    u = random_state(n_modes, seed=14)
+    for n_steps in (1, 1000):
+        want = _naive_evolve(u, config, n_steps)
+        got = evolve(u, config, n_steps)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_evolve_leaves_its_input_alone_and_repeats_exactly():
+    config = SolverConfig(n_modes=64, dt=1e-3, p=3)
+    u = random_state(64, seed=16)
+    kept = u.copy()
+    first = evolve(u, config, 25)
+    assert np.array_equal(u, kept)
+    assert np.array_equal(evolve(u, config, 25), first)
+    assert evolve(u, config, 0) is u
 
 
 def test_plan_matches_naive_evaluator_on_a_solved_energy():

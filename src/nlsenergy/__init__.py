@@ -8,17 +8,15 @@ from .energy import (CatalogueEntry, CorrectionReductionError, EnergyDefinition,
                      EnergyDocumentError, Family, InfeasibleSystemError,
                      basic_density, build_catalogue, correction_density,
                      cubic_density, energy_hash, export_energy, hamiltonian_density,
-                     hk_derivative, import_energy, mass_density,
-                     quadratic_density, reduce_to_correction_class, save_energy,
+                     import_energy, mass_density, quadratic_density, save_energy,
                      solve_energy, verify_exact_conservation, verify_identities)
 from .harness import (RunConfig, derivative_crosscheck, format_csv,
                       run_experiment, write_report)
 from .rational import GaussianRational
 from .reduction import (MonomialClass, ReductionResult, SectorReducer, classify,
-                        coordinates_in_span, enumerate_monomials, ibp_generators,
-                        reduce_modulo)
-from .spectral import (BlowupError, PaddingError, SolverConfig, energy_value,
+                        enumerate_monomials, ibp_generators)
+from .spectral import (BlowupError, SolverConfig, energy_value,
                        evaluate_density, evaluate_real,
                        evolve, hamiltonian, l2_norm, momentum, plane_wave,
-                       plane_wave_solution, random_state, sobolev_norm, step,
+                       plane_wave_solution, random_state, sobolev_norm,
                        wavenumbers)

@@ -110,8 +110,13 @@ def _load_energy(config: RunConfig, energy_path):
                 f"energy document is for (k={energy.k}, p={energy.p}) "
                 f"but the run wants (k={config.k}, p={config.p})")
         return energy
+    return _solve_or_exit(config.k, config.p)
+
+
+def _solve_or_exit(k: int, p: int):
+    """solve_energy(k, p), or exit 2 with the message and the residual."""
     try:
-        return solve_energy(config.k, config.p)
+        return solve_energy(k, p)
     except InfeasibleSystemError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         click.echo(f"residual: {density_to_text(exc.residual)}", err=True)
@@ -126,12 +131,7 @@ def _load_energy(config: RunConfig, energy_path):
 def build(k, p, out):
     """Solve the cancellation system and print the correction table."""
     _require_kp(k, p)
-    try:
-        energy = solve_energy(k, p)
-    except InfeasibleSystemError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        click.echo(f"residual: {density_to_text(exc.residual)}", err=True)
-        sys.exit(2)
+    energy = _solve_or_exit(k, p)
     width = max(len(name) for name in energy.coefficients)
     for name, value in energy.coefficients.items():
         click.echo(f"{name:<{width}}  {value}")
@@ -148,9 +148,7 @@ def verify(k_range, p_range):
     """Verify every structural identity and solve feasibility on a grid."""
     ks = _parse_range(k_range, "k")
     ps = _parse_range(p_range, "p")
-    for v in ks + ps:
-        if v < 2:
-            raise click.UsageError("indices below 2 are not defined")
+    _require_kp(min(ks), min(ps))
     failures = 0
     for p in ps:
         for name, residual in verify_exact_conservation(p).items():
@@ -163,20 +161,26 @@ def verify(k_range, p_range):
             for check in report.checks:
                 failures += not check.passed
                 click.echo(f"[{'PASS' if check.passed else 'FAIL'}] k={k} p={p} {check.identity}")
-            try:
-                energy = solve_energy(k, p)
-                click.echo(f"[PASS] k={k} p={p} solve: |F|={len(energy.correction)} "
-                           f"cubic={energy.cubic_coefficient}")
-            except InfeasibleSystemError as exc:
-                click.echo(f"infeasible: {exc}", err=True)
-                sys.exit(2)
+            energy = _solve_or_exit(k, p)
+            click.echo(f"[PASS] k={k} p={p} solve: |F|={len(energy.correction)} "
+                       f"cubic={energy.cubic_coefficient}")
     if failures:
         click.echo(f"{failures} check(s) failed", err=True)
         sys.exit(3)
     click.echo("all checks passed")
 
 
-def _simulate_body(ctx, config_path, energy_path, out, **flags) -> int:
+@main.command()
+@_run_flags
+@click.option("--out", type=click.Path(dir_okay=False), default="report.csv",
+              show_default=True)
+@click.pass_context
+def simulate(ctx, config_path, energy_path, out, **flags):
+    """Integrate the equation and write the observable report.
+
+    Every record carries the growth-bound ratio |F_k| / hk^(2(k-2)/(k-1))
+    and the cubic remainder; the largest ratio is printed at the end.
+    """
     config = _build_config(ctx, config_path, **flags)
     energy = _load_energy(config, energy_path)
     try:
@@ -189,27 +193,6 @@ def _simulate_body(ctx, config_path, energy_path, out, **flags) -> int:
     click.echo(f"wrote {out} ({len(rows)} records)")
     click.echo(f"final: t={last['t']:g} hk={last['hk']:.6e} E_k={last['E_k']:.6e} "
                f"bound_ratio_max={max_bound_ratio(rows):.6e}")
-    return 0
-
-
-@main.command()
-@_run_flags
-@click.option("--out", type=click.Path(dir_okay=False), default="report.csv",
-              show_default=True)
-@click.pass_context
-def simulate(ctx, config_path, energy_path, out, **flags):
-    """Integrate the equation and write the observable report."""
-    _simulate_body(ctx, config_path, energy_path, out, **flags)
-
-
-@main.command()
-@_run_flags
-@click.option("--out", type=click.Path(dir_okay=False), default="monitor.csv",
-              show_default=True)
-@click.pass_context
-def monitor(ctx, config_path, energy_path, out, **flags):
-    """Simulate and report the correction-size ratio and cubic remainder."""
-    _simulate_body(ctx, config_path, energy_path, out, **flags)
 
 
 @main.command()

@@ -160,12 +160,6 @@ def quadratic_density(k: int) -> Density:
     return Density.monomial((0,), (0,)) + Density.monomial((k,), (k,))
 
 
-def hk_derivative(k: int, p: int) -> Density:
-    """Formal time derivative of integral |d^k u|^2 along the evolution."""
-    _check_kp(k, p)
-    return dt_evolution(Density.monomial((k,), (k,)), p)
-
-
 def mass_density() -> Density:
     return Density.monomial((0,), (0,))
 
@@ -221,14 +215,6 @@ def _nonlinear_reducer(k: int, p: int) -> SectorReducer:
         ibp_generators((2 * p + 1, 2 * p + 1, 2 * k - 2), 2 * k - 2,
                        keep=lambda base: base.max_order >= k - 1),
         _in_class(k, p, MonomialClass.NONLINEAR_REMAINDER))
-
-
-@functools.lru_cache(maxsize=None)
-def _correction_reducer(k: int, p: int) -> SectorReducer:
-    return SectorReducer(
-        ibp_generators((p + 1, p + 1, 2 * k - 2), 2 * k - 2,
-                       keep=lambda base: base.max_order >= k - 1),
-        _in_class(k, p, MonomialClass.CORRECTION))
 
 
 # only documents whose F_k is a rewrite of the catalogue combination need
@@ -442,27 +428,6 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
         cubic_coefficient=cubic_coeff, exact_derivative=exact)
 
 
-def reduce_to_correction_class(energy: EnergyDefinition) -> EnergyDefinition:
-    """Rewrite the correction term inside the correction class, if needed.
-
-    Energies produced by solve_energy are already fully reduced (fixed
-    point).  For a general document the correction is replaced by an
-    equivalent representative modulo integration by parts and all residuals
-    are recomputed; the solved coefficients are kept, they equal the
-    correction only modulo the rewrite.
-    """
-    if all(classify(m, energy.k, energy.p) is MonomialClass.CORRECTION
-           for m in energy.correction.monomials()):
-        return energy
-    res = _correction_reducer(energy.k, energy.p).reduce(energy.correction)
-    if not res.residual.is_zero:
-        raise CorrectionReductionError(
-            "correction term is not equivalent to a correction-class density: "
-            f"residual {density_to_text(res.residual)}")
-    return _assemble(energy.k, energy.p, energy.coefficients,
-                     res.allowed_part.re_part())
-
-
 # -- conservation witnesses -------------------------------------------------
 
 def verify_exact_conservation(p: int) -> dict[str, Density]:
@@ -667,46 +632,45 @@ def import_energy(source) -> EnergyDefinition:
     Validation recomputes the exact derivative and the residual
     decomposition from the document's correction term and requires exact
     agreement, so hand-edited coefficients or residuals are rejected.
+    Anything unreadable, malformed or inconsistent, an unusable k or p
+    included, raises EnergyDocumentError.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = Path(source).read_text() if not str(source).lstrip().startswith("{") \
-            else str(source)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise EnergyDocumentError(f"malformed energy document: {exc}") from exc
     try:
+        if isinstance(source, dict):
+            doc = source
+        elif str(source).lstrip().startswith("{"):
+            doc = json.loads(str(source))
+        else:
+            doc = json.loads(Path(source).read_text())
         version = doc["schema_version"]
         k, p = doc["k"], doc["p"]
-        coeff_doc = doc["coefficients"]
+        _check_kp(k, p)
+        coefficients = {name: Fraction(v) for name, v in doc["coefficients"].items()}
         cubic = Fraction(doc["cubic_coeff"])
         correction = density_from_text(doc["F_k"])
         quartic = density_from_text(doc["residual_omega"])
         nonlinear = density_from_text(doc["residual_theta"])
         exact = density_from_text(doc["exact_derivative"])
-    except (KeyError, ValueError, TypeError) as exc:
+    # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
+    except (OSError, KeyError, ValueError, TypeError, AttributeError,
+            ArithmeticError) as exc:
         raise EnergyDocumentError(f"malformed energy document: {exc}") from exc
     if version != SCHEMA_VERSION:
         raise EnergyDocumentError(
             f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    _check_kp(k, p)
     catalogue = build_catalogue(k, p)
-    expected_names = [e.name for e in catalogue]
-    if list(coeff_doc) != expected_names:
+    if list(coefficients) != [e.name for e in catalogue]:
         raise EnergyDocumentError("coefficient names do not match the catalogue")
-    coefficients = {name: Fraction(v) for name, v in coeff_doc.items()}
     recombined = Density.zero()
     for entry in catalogue:
         v = coefficients[entry.name]
         if v:
             recombined = recombined + entry.density * v
     if recombined != correction:
-        # accept an equivalent rewrite inside the correction class
+        # accept an equivalent rewrite inside the correction sector
         diff = recombined - correction
-        res = _correction_ibp_reducer(k, p).reduce(diff)
-        if not res.residual.is_zero:
+        if (diff.signatures() != {(p + 1, p + 1, 2 * k - 2)}
+                or not _correction_ibp_reducer(k, p).reduce(diff).residual.is_zero):
             raise EnergyDocumentError(
                 "F_k is not the catalogue combination of the stated coefficients")
     try:

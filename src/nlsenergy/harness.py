@@ -122,7 +122,8 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
     else:
         cubic = 0.0
     # growth-bound exponent 2(k-2)/(k-1); degenerates to 0 at k=2 so the
-    # monitored quantity is then just |F| itself
+    # monitored quantity is then just |F| itself.  hk vanishes only at u = 0,
+    # where F does too, and the ratio is taken as 0 there
     exponent = (2 * k - 4) / (k - 1)
     return {
         "t": float(t),
@@ -135,7 +136,7 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
         "dEk_fd": cross["fd"],
         "dEk_exact": cross["exact"],
         "cubic_remainder": cubic,
-        "bound_ratio": abs(f_val) / hk ** exponent,
+        "bound_ratio": abs(f_val) / hk ** exponent if hk else 0.0,
     }
 
 

@@ -267,28 +267,3 @@ class SectorReducer:
 
 
 _ZERO = GaussianRational(0)
-
-
-def reduce_modulo(expr: Density, generators: Sequence[Density],
-                  allowed: Callable[[Monomial], bool] | None = None) -> ReductionResult:
-    """One-shot reduction; see :class:`SectorReducer` for the contract."""
-    return SectorReducer(generators, allowed).reduce(expr)
-
-
-def coordinates_in_span(targets: Sequence[Density], basis: Sequence[Density],
-                        reducer: SectorReducer) -> list[dict[int, GaussianRational]]:
-    """Exact coordinates of each target over `basis`, modulo the reducer span.
-
-    The basis residuals must be linearly independent (unique coordinates);
-    raises ValueError if they are not or if a target falls outside the span.
-    """
-    inner = SectorReducer([reducer.reduce(b).residual for b in basis])
-    if inner.rank != len(basis):
-        raise ValueError("basis is dependent modulo the reducer span")
-    out = []
-    for t in targets:
-        res = inner.reduce(reducer.reduce(t).residual)
-        if not res.residual.is_zero:
-            raise ValueError("target outside the span of the basis")
-        out.append(res.generator_coefficients)
-    return out

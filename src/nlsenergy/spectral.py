@@ -5,23 +5,22 @@ layout (frequencies 0..N/2-1, -N/2..-1).  Time stepping is Strang
 splitting: the linear half-steps are exact diagonal rotations and the
 gauge nonlinearity is an exact pointwise rotation on a padded grid, so
 the only splitting error is the operator commutator.  :func:`evolve` is
-the one stepping kernel (:func:`step` is ``evolve(., 1)``).  It keeps
-the state on the padded spectrum for the whole call, in buffers
-allocated once, and applies each merged linear step as a masked phase:
-the phase over the padded length on the retained modes and zero
-elsewhere, so one product is the linear step, the normalisation of the
-forward FFT and the projection back onto the retained modes.
+the one stepping kernel.  It keeps the state on the padded spectrum for
+the whole call, in buffers allocated once, and applies each merged
+linear step as a masked phase: the phase over the padded length on the
+retained modes and zero elsewhere, so one product is the linear step,
+the normalisation of the forward FFT and the projection back onto the
+retained modes.
 
-Density functionals are evaluated by spectral differentiation on a grid
-fine enough that the quadrature is exact for trigonometric polynomials
-of the product bandwidth.  Each density is compiled once into a
-:class:`DensityPlan` that groups its monomials by factor count q: a
-group evaluates all of its distinct derivative grids with one batched
-inverse FFT on the grid of n_modes*(q//2+1) points, then gathers,
-multiplies and averages the factor grids of every term at once.  Pair
-monomials (one factor of each conjugation) instead sum an explicit
-per-mode symbol, which keeps the large cancellations between high-order
-terms exact in floating point.
+Density functionals are evaluated by exact quadrature.  Each density is
+compiled once into a :class:`DensityPlan` that groups its monomials by
+factor count q: a group evaluates all of its distinct derivative grids
+with one batched inverse FFT on the grid of n_modes*(q//2+1) points, at
+least the q*n_modes/2 + 1 that make the quadrature exact for the
+product's bandwidth, then gathers, multiplies and averages the factor
+grids of every term at once.  Pair monomials (one factor of each
+conjugation) instead sum an explicit per-mode symbol, which keeps the
+large cancellations between high-order terms exact in floating point.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ import numpy as np
 
 from .algebra import Density, Monomial
 from .energy import EnergyDefinition, hamiltonian_density
-
-
-class PaddingError(ValueError):
-    """Evaluation grid too coarse for exact product quadrature."""
 
 
 class BlowupError(RuntimeError):
@@ -55,16 +50,12 @@ def wavenumbers(n_modes: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SolverConfig:
     """Stepper parameters; padding_factor defaults to the dealiasing
-    minimum p+1 and may only be raised.  nonlinear=False freezes the
-    gauge rotation, leaving the exactly solvable linear flow (a
-    diagnostic mode: every quadratic functional must then be conserved
-    to round-off)."""
+    minimum p+1 and may only be raised."""
 
     n_modes: int
     dt: float
     p: int = 2
     padding_factor: int = 0
-    nonlinear: bool = True
 
     def __post_init__(self):
         _check_modes(self.n_modes)
@@ -83,19 +74,10 @@ def _linear_phase(n: np.ndarray, dt: float) -> np.ndarray:
     return np.exp(-1j * n * n * dt)
 
 
-def _half_linear(u_hat: np.ndarray, dt: float) -> np.ndarray:
-    return u_hat * _linear_phase(wavenumbers(len(u_hat)).astype(float), dt)
-
-
 def _check_finite(u_hat: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(u_hat)):
         raise BlowupError("non-finite Fourier coefficients; reduce dt or the data size")
     return u_hat
-
-
-def step(u_hat: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """One Strang step: evolve(u_hat, config, 1)."""
-    return evolve(u_hat, config, 1)
 
 
 def evolve(u_hat: np.ndarray, config: SolverConfig, n_steps: int) -> np.ndarray:
@@ -113,15 +95,12 @@ def evolve(u_hat: np.ndarray, config: SolverConfig, n_steps: int) -> np.ndarray:
     FFT and the projection onto the retained modes at once.  The last
     half-step applies the half phase over m to the gathered slots.
 
-    Repeated step(), which is evolve(., 1), is the same scheme unmerged;
-    merging the half-steps halves the rounding work, which measurably
-    improves conservation over long runs.  Raises BlowupError if the
-    result is not finite.
+    Merging the half-steps halves the rounding work of repeated single
+    steps, which measurably improves conservation over long runs.
+    Raises BlowupError if the result is not finite.
     """
     if n_steps <= 0:
         return u_hat
-    if not config.nonlinear:
-        return _half_linear(u_hat, config.dt * n_steps)
     m = config.padding_factor * config.n_modes
     n = wavenumbers(config.n_modes)
     slots = n % m
@@ -243,19 +222,16 @@ class _FactorGroup:
              for m, _ in terms], dtype=np.intp).reshape(len(terms), q)
         self.coeffs = np.array([c for _, c in terms], dtype=complex)
 
-    def terms(self, u_hat: np.ndarray, grid_factor: int | None) -> np.ndarray:
+    def terms(self, u_hat: np.ndarray) -> np.ndarray:
         """c_j v_j for every term, v_j by exact quadrature on the group's grid.
 
-        The product of q factors of bandwidth N/2 has bandwidth q*N/2, so the
-        grid must carry at least q*N/2 + 1 points; below that the mean
-        aliases and the call fails rather than return a wrong value.
+        The product of q factors of bandwidth N/2 has bandwidth q*N/2; the
+        grid of N*(q//2+1) points has at least q*N/2 + 1 of them for every
+        N >= 8, so the mean does not alias.
         """
         n_modes = len(u_hat)
         q = self.q
-        m = n_modes * (q // 2 + 1) if grid_factor is None else n_modes * grid_factor
-        if m < q * (n_modes // 2) + 1:
-            raise PaddingError(
-                f"grid of {m} points aliases a {q}-factor product of {n_modes}-mode fields")
+        m = n_modes * (q // 2 + 1)
         n = wavenumbers(n_modes)
         spec = np.zeros((len(self.orders), m), dtype=complex)
         ik = 1j * n.astype(float)
@@ -277,37 +253,31 @@ class _FactorGroup:
 class DensityPlan:
     """A density compiled for repeated numerical evaluation.
 
-    Monomials are grouped by factor count; with the default grid, pair
-    monomials (signature (1, 1, .)) take the per-mode symbol path instead,
-    and with an explicit grid_factor they are one more grid group of two
-    factors.  Build plans through :func:`compile_density`, which compiles
-    each density once.
+    Monomials are grouped by factor count, except pair monomials
+    (signature (1, 1, .)), which take the per-mode symbol path.  Build
+    plans through :func:`compile_density`, which compiles each density
+    once.
     """
 
     def __init__(self, density: Density):
         self.is_real_valued = density.is_real_valued
         by_q: dict[int, list] = {}
-        pairs = []
+        self.pairs = []
         for m, c in density.terms():
             if m.signature[:2] == (1, 1):
-                pairs.append((m, complex(c)))
+                self.pairs.append((m.u_orders[0], m.c_orders[0], complex(c)))
             else:
                 by_q.setdefault(len(m.u_orders) + len(m.c_orders), []).append((m, complex(c)))
         self.groups = [_FactorGroup(q, terms) for q, terms in sorted(by_q.items())]
-        self.pairs = [(m.u_orders[0], m.c_orders[0], c) for m, c in pairs]
-        self.pair_group = _FactorGroup(2, pairs) if pairs else None
 
-    def evaluate(self, u_hat: np.ndarray, grid_factor: int | None = None) -> DensityValue:
+    def evaluate(self, u_hat: np.ndarray) -> DensityValue:
         _check_modes(len(u_hat))
-        groups = self.groups
-        if grid_factor is not None and self.pair_group is not None:
-            groups = groups + [self.pair_group]
         value, scale = 0j, 0.0
-        for group in groups:
-            terms = group.terms(u_hat, grid_factor)
+        for group in self.groups:
+            terms = group.terms(u_hat)
             value += terms.sum()
             scale += np.abs(terms).sum()
-        if grid_factor is None and self.pairs:
+        if self.pairs:
             # per mode: the sum of the symbols c (in)^a (-in)^b, and of
             # their magnitudes |c| |n|^(a+b)
             n = wavenumbers(len(u_hat)).astype(float)
@@ -331,28 +301,24 @@ def compile_density(density: Density) -> DensityPlan:
     return plan
 
 
-def evaluate_density(u_hat: np.ndarray, density: Density,
-                     grid_factor: int | None = None) -> DensityValue:
+def evaluate_density(u_hat: np.ndarray, density: Density) -> DensityValue:
     """Exact-quadrature value of an integrated density at a state.
 
-    With the default grid each factor-count group gets the smallest exact
-    grid and pair monomials take the per-mode symbol path (exact
-    cancellation between terms of one mode, which grid quadrature cannot
-    guarantee in floating point); an explicit grid_factor puts every
-    monomial on the grid of n_modes*grid_factor points.  Raises
-    PaddingError if that grid aliases a product.
+    Each factor-count group is averaged on its own exact grid, and pair
+    monomials take the per-mode symbol path (exact cancellation between
+    terms of one mode, which grid quadrature cannot guarantee in floating
+    point).
     """
-    return compile_density(density).evaluate(u_hat, grid_factor)
+    return compile_density(density).evaluate(u_hat)
 
 
-def evaluate_real(u_hat: np.ndarray, density: Density,
-                  grid_factor: int | None = None) -> float:
+def evaluate_real(u_hat: np.ndarray, density: Density) -> float:
     """Value of a conjugation-fixed functional; the imaginary part is pure
     floating-point residue and must sit far below the size of the terms
     summed for the value."""
     if not compile_density(density).is_real_valued:
         raise ValueError("density is not conjugation-fixed; use evaluate_density")
-    v = evaluate_density(u_hat, density, grid_factor)
+    v = evaluate_density(u_hat, density)
     if abs(v.imag) > 1e-9 * max(1.0, v.term_scale):
         raise ArithmeticError(
             f"imaginary residue {v.imag:.3e} too large for real value {v.real:.3e} "

@@ -1,12 +1,17 @@
 """End-to-end command line checks through click's test runner."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from nlsenergy import cli
+from nlsenergy.algebra import Density
 from nlsenergy.cli import main
-from nlsenergy.energy import import_energy, save_energy, solve_energy
+from nlsenergy.energy import (InfeasibleSystemError, export_energy,
+                              import_energy, save_energy, solve_energy)
 
 FAST = ["--n-modes", "16", "--dt", "1e-3", "--t-end", "0.01"]
 
@@ -79,7 +84,7 @@ def test_config_document_with_flag_override(tmp_path):
     cfg.write_text(json.dumps({"k": 2, "p": 2, "n_modes": 16, "dt": 1e-3,
                                "t_end": 0.01, "seed": 4}))
     out = tmp_path / "r.csv"
-    result = invoke("monitor", "--config", str(cfg), "--seed", "9",
+    result = invoke("simulate", "--config", str(cfg), "--seed", "9",
                     "--out", str(out))
     assert result.exit_code == 0, result.output
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
@@ -127,3 +132,70 @@ def test_crosscheck_within_tolerance():
     result = invoke("crosscheck", "--k", "2", "--p", "2", "--n-modes", "32")
     assert result.exit_code == 0, result.output
     assert "within tolerance" in result.output
+
+
+def _energy_document(tmp_path, **changes):
+    doc = export_energy(solve_energy(2, 2))
+    doc.update(changes)
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema_version": 1, "k": "\xe9"}')
+    return path
+
+
+@pytest.mark.parametrize("write", [
+    lambda tmp_path: _energy_document(tmp_path, k="2"),
+    lambda tmp_path: _energy_document(tmp_path, k=1),
+    lambda tmp_path: _non_utf8_file(tmp_path),
+], ids=["k-as-text", "k-below-two", "not-utf8"])
+def test_unusable_energy_document_is_a_usage_error(tmp_path, write):
+    out = tmp_path / "never.csv"
+    result = invoke("simulate", "--k", "2", "--p", "2", *FAST,
+                    "--energy", str(write(tmp_path)), "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "bad energy document: malformed energy document" in result.stderr
+    assert not out.exists()
+
+
+def test_zero_state_runs_to_completion(tmp_path):
+    out = tmp_path / "zero.csv"
+    result = invoke("simulate", "--k", "3", "--p", "2", "--n-modes", "16",
+                    "--t-end", "0.01", "--r-h1", "0", "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert "bound_ratio_max=0.000000e+00" in result.output
+    assert out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["build", "--k", "2", "--p", "2"],
+    ["verify", "--k", "2", "--p", "2"],
+    ["simulate", "--k", "2", "--p", "2", *FAST],
+])
+def test_infeasible_system_reports_message_and_residual(monkeypatch, tmp_path, args):
+    def infeasible(k, p):
+        raise InfeasibleSystemError(f"no solution for (k={k}, p={p})",
+                                    Density.monomial((1,), (1,)))
+
+    monkeypatch.setattr(cli, "solve_energy", infeasible)
+    monkeypatch.chdir(tmp_path)
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "infeasible: no solution for (k=2, p=2)" in result.stderr
+    assert "residual: " in result.stderr
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_readme_commands_exist():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"^\s*nlsenergy (\w+)", readme, flags=re.MULTILINE))
+    assert named
+    assert named <= set(main.commands)
+    assert "monitor" not in main.commands

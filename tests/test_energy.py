@@ -1,7 +1,6 @@
 """Catalogue construction, solved energies, identity grid, serialization."""
 
 import ast
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -18,8 +17,7 @@ from nlsenergy.energy import (EnergyDocumentError, Family,
                               correction_density, cubic_density,
                               cubic_monomial, dispersive_reducer,
                               energy_hash, export_energy, hamiltonian_density,
-                              hk_derivative, import_energy,
-                              quadratic_density, reduce_to_correction_class,
+                              import_energy, quadratic_density,
                               save_energy, solve_energy,
                               verify_exact_conservation, verify_identities)
 from nlsenergy.reduction import (MonomialClass, SectorReducer, classify,
@@ -191,7 +189,6 @@ def test_hk_derivative_linear_part_integrates_to_zero():
         sig = (1, 1, 2 * k + 2)
         res = SectorReducer(ibp_generators(sig, sig[2])).reduce(flow)
         assert res.residual.is_zero
-        assert hk_derivative(k, 2).is_real_valued
 
 
 # -- identity grid and conservation -----------------------------------------
@@ -301,9 +298,30 @@ def _drop_correction(doc):
     del doc["F_k"]
 
 
+def _k_as_text(doc):
+    doc["k"] = "2"
+
+
+def _k_below_two(doc):
+    doc["k"] = 1
+
+
+def _other_p(doc):
+    doc["p"] = 3
+
+
+def _zero_denominator(doc):
+    doc["coefficients"]["aligned_u[1]"] = "1/0"
+
+
+def _infinite_cubic(doc):
+    doc["cubic_coeff"] = float("inf")
+
+
 @pytest.mark.parametrize("mutate", [
     _flip_coefficient, _bump_cubic, _scale_correction, _swap_exact_derivative,
-    _future_version, _rename_coefficient, _drop_correction,
+    _future_version, _rename_coefficient, _drop_correction, _k_as_text, _k_below_two,
+    _other_p, _zero_denominator, _infinite_cubic,
 ])
 def test_import_rejects_tampered_documents(mutate):
     doc = export_energy(solve_energy(3, 2))
@@ -315,6 +333,15 @@ def test_import_rejects_tampered_documents(mutate):
 def test_import_rejects_malformed_json():
     with pytest.raises(EnergyDocumentError):
         import_energy('{"schema_version": 1,')
+
+
+def test_import_rejects_unreadable_files(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"k": "\xe9"}')
+    with pytest.raises(EnergyDocumentError):
+        import_energy(latin1)
+    with pytest.raises(EnergyDocumentError):
+        import_energy(tmp_path / "missing.json")
 
 
 def _parts_shift(base):
@@ -344,20 +371,6 @@ def test_import_accepts_equivalent_rewrites_of_the_correction():
     diff = imported.residual_quartic - energy.residual_quartic
     res = SectorReducer(ibp_generators((3, 3, 8), 8)).reduce(diff)
     assert res.residual.is_zero
-
-
-def test_reduction_to_correction_class_is_a_fixed_point():
-    energy = solve_energy(4, 2)
-    assert reduce_to_correction_class(energy) is energy
-
-
-def test_reduction_to_correction_class_strips_ibp_shifts():
-    # a total-derivative shift with an order-k factor leaves the class but
-    # reduces away exactly, recovering the original energy
-    energy = solve_energy(4, 2)
-    shift = _parts_shift(Monomial((3, 1, 0), (1, 0, 0))).re_part()
-    dressed = dataclasses.replace(energy, correction=energy.correction + shift)
-    assert reduce_to_correction_class(dressed) == energy
 
 
 def test_import_builds_the_correction_sector_reducer_once(monkeypatch):

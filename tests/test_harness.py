@@ -125,6 +125,16 @@ def test_bound_ratio_reduces_to_abs_correction_at_k2():
     assert max_bound_ratio([row, {"bound_ratio": -1.0}]) == row["bound_ratio"]
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_bound_ratio_of_the_zero_state_is_zero(k):
+    energy = solve_energy(k, 2)
+    config = _small_config(k=k, preset="planewave", amplitude=0.0)
+    row = observe(initial_state(config), 0.0, energy, config)
+    assert row["hk"] == 0.0
+    assert row["F_k"] == 0.0
+    assert row["bound_ratio"] == 0.0
+
+
 def test_record_where_the_derivative_nearly_vanishes_completes():
     """A record with dE_k/dt near -1.3 whose terms sum from magnitudes of
     order 1e10: the imaginary round-off of about 1e-8 is tiny against the

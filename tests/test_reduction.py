@@ -14,8 +14,7 @@ from nlsenergy.algebra import Density, Monomial
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer,
                                  SignatureMismatchError, classify,
-                                 coordinates_in_span, enumerate_monomials,
-                                 ibp_generators, reduce_modulo)
+                                 enumerate_monomials, ibp_generators)
 
 
 def _brute_monomials(signature, max_order):
@@ -117,36 +116,6 @@ def test_mixed_signature_input_rejected():
         red.reduce(bad)
 
 
-def test_reduce_modulo_one_shot_agrees():
-    sig = (2, 2, 4)
-    expr = Density.monomial((3, 0), (1, 0)) - Density.monomial((2, 1), (1, 0))
-    gens = ibp_generators(sig, 4)
-    assert reduce_modulo(expr, gens).residual == SectorReducer(gens).reduce(expr).residual
-
-
-def test_span_coordinates_on_synthetic_basis():
-    sig = (2, 2, 2)
-    gens = ibp_generators(sig, 2)
-    red = SectorReducer(gens)
-    b1 = Density.monomial((1, 0), (1, 0))
-    b2 = Density.monomial((1, 1), (0, 0))
-    coords = coordinates_in_span([b1 * 3 + b2 * Fraction(1, 2)], [b1, b2], red)
-    vec = coords[0]
-    assert vec[0] == GaussianRational(3)
-    assert vec[1] == GaussianRational(Fraction(1, 2))
-
-
-def test_span_coordinates_reject_outside_targets():
-    sig = (2, 2, 2)
-    red = SectorReducer(ibp_generators(sig, 2))
-    b1 = Density.monomial((1, 0), (1, 0))
-    outside = Density.monomial((2, 0), (0, 0))
-    if red.reduce(outside).residual.is_zero:
-        pytest.skip("target happens to be reducible in this sector")
-    with pytest.raises(ValueError):
-        coordinates_in_span([outside], [b1], red)
-
-
 # -- the cached reducers hold only the generators that survive projection ----
 
 _CACHED = {
@@ -156,8 +125,6 @@ _CACHED = {
     "nonlinear": (energy_module._nonlinear_reducer,
                   lambda k, p: (2 * p + 1, 2 * p + 1, 2 * k - 2),
                   MonomialClass.NONLINEAR_REMAINDER),
-    "correction": (energy_module._correction_reducer,
-                   lambda k, p: (p + 1, p + 1, 2 * k - 2), MonomialClass.CORRECTION),
 }
 _GRID = [(name, k, p) for name in _CACHED for k in range(2, 6) for p in (2, 3)]
 

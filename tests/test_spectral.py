@@ -11,23 +11,26 @@ from nlsenergy.algebra import Density, Monomial
 from nlsenergy.energy import quadratic_density, solve_energy
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import ibp_generators
-from nlsenergy.spectral import (BlowupError, PaddingError, SolverConfig,
-                                _half_linear, compile_density, energy_value,
-                                evaluate_density, evaluate_real, evolve,
-                                hamiltonian, l2_norm, momentum, plane_wave,
-                                plane_wave_solution, random_state,
-                                sobolev_norm, step, wavenumbers)
+from nlsenergy.spectral import (BlowupError, SolverConfig, compile_density,
+                                energy_value, evaluate_density, evaluate_real,
+                                evolve, hamiltonian, l2_norm, momentum,
+                                plane_wave, plane_wave_solution, random_state,
+                                sobolev_norm, wavenumbers)
+
+
+class _AliasingGrid(ValueError):
+    """The oracle's grid is too coarse for exact product quadrature."""
 
 
 def _naive_monomial(u_hat, monomial, grid_factor=None):
     """Reference evaluator, one inverse FFT per factor: the exact-quadrature
     value of one monomial and the size of the grid values averaged for it,
-    2 pi mean |product|."""
+    2 pi mean |product|.  The grid defaults to the one the plans use."""
     n_modes = len(u_hat)
     q = monomial.signature[0] + monomial.signature[1]
     m = n_modes * (q // 2 + 1) if grid_factor is None else n_modes * grid_factor
     if m < q * (n_modes // 2) + 1:
-        raise PaddingError(f"grid of {m} points aliases a {q}-factor product")
+        raise _AliasingGrid(f"grid of {m} points aliases a {q}-factor product")
     n = wavenumbers(n_modes)
     prod = np.ones(m, dtype=complex)
     for order, conjugated in monomial.factors():
@@ -56,6 +59,12 @@ def _naive_density(u_hat, density, grid_factor=None):
             total += c * value
             scale += abs(c) * size
     return total, scale
+
+
+def _half_linear(u_hat, dt):
+    """The exact linear flow over dt: a phase per mode."""
+    n = wavenumbers(len(u_hat)).astype(float)
+    return u_hat * np.exp(-1j * n * n * dt)
 
 
 def _naive_evolve(u_hat, config, n_steps):
@@ -87,17 +96,6 @@ def test_plane_wave_matches_exact_solution():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
-def test_linear_flow_is_exact():
-    config = SolverConfig(n_modes=32, dt=1e-3, p=2, nonlinear=False)
-    u = random_state(32, seed=4)
-    v = evolve(u, config, 137)
-    assert np.array_equal(v, _half_linear(u, config.dt * 137))
-    n = wavenumbers(32).astype(float)
-    want = u * np.exp(-1j * n * n * 137 * 1e-3)
-    assert np.max(np.abs(v - want)) < 1e-13
-    assert abs(sobolev_norm(v, 3) - sobolev_norm(u, 3)) < 1e-13 * sobolev_norm(u, 3)
-
-
 def test_functional_scaling_degrees():
     u = random_state(16, seed=9)
     correction = solve_energy(3, 2).correction
@@ -116,17 +114,6 @@ def test_momentum_survives_nonlinear_evolution():
     assert abs(after - before) < 1e-10
 
 
-def test_quadrature_padding_threshold():
-    u = random_state(8, seed=1)
-    m = Density.monomial((1, 0, 0), (1, 0, 0))   # six factors: needs 6*4+1 points
-    with pytest.raises(PaddingError):
-        evaluate_density(u, m, grid_factor=3)
-    base = evaluate_density(u, m)          # default grid is exactly enough
-    for factor in (4, 5, 6):
-        again = evaluate_density(u, m, grid_factor=factor)
-        assert abs(again - base) <= 1e-12 * max(1.0, abs(base))
-
-
 def test_total_derivatives_integrate_to_zero():
     u = random_state(16, seed=7)
     for g in ibp_generators((3, 3, 4), 4)[:8]:
@@ -137,21 +124,23 @@ def test_pair_symbol_path_matches_grid_quadrature():
     u = random_state(16, seed=2)
     d = quadratic_density(3) + Density.monomial((2,), (2,)) * 5
     fast = evaluate_density(u, d)
-    slow = evaluate_density(u, d, grid_factor=2)
+    slow, _ = _naive_density(u, d, grid_factor=2)
     assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
 
 def test_mass_quadrature_matches_parseval():
     u = random_state(16, seed=6)
-    # grid_factor 2 is the default grid of a two-factor product, so the
-    # pair monomials take the grid quadrature here, not the symbol path
-    mass = evaluate_density(u, Density.monomial((0,), (0,)), grid_factor=2)
-    assert mass.real == pytest.approx(l2_norm(u) ** 2, rel=1e-13)
-    assert abs(mass.imag) < 1e-13
     n = wavenumbers(16).astype(float)
-    grad = evaluate_density(u, Density.monomial((1,), (1,)), grid_factor=2)
-    assert grad.real == pytest.approx(
-        float(2 * np.pi * np.sum(n * n * np.abs(u) ** 2)), rel=1e-12)
+    # grid_factor 2 is the exact grid of a two-factor product, so the
+    # reference takes the grid quadrature, and the plan the symbol path
+    for evaluate in (evaluate_density,
+                     lambda u, d: _naive_density(u, d, grid_factor=2)[0]):
+        mass = evaluate(u, Density.monomial((0,), (0,)))
+        assert mass.real == pytest.approx(l2_norm(u) ** 2, rel=1e-13)
+        assert abs(mass.imag) < 1e-13
+        grad = evaluate(u, Density.monomial((1,), (1,)))
+        assert grad.real == pytest.approx(
+            float(2 * np.pi * np.sum(n * n * np.abs(u) ** 2)), rel=1e-12)
 
 
 def test_energy_drift_equals_integrated_residual():
@@ -165,7 +154,7 @@ def test_energy_drift_equals_integrated_residual():
     start = energy_value(u, energy)
     samples = [evaluate_real(u, residual)]
     for _ in range(1000):
-        u = step(u, config)
+        u = evolve(u, config, 1)
         samples.append(evaluate_real(u, residual))
     drift = energy_value(u, energy) - start
     integral = config.dt * (sum(samples) - 0.5 * (samples[0] + samples[-1]))
@@ -184,7 +173,7 @@ def test_hamiltonian_is_positive_for_generic_data():
 def test_blowup_is_reported():
     config = SolverConfig(n_modes=8, dt=1e-3, p=2)
     with pytest.raises(BlowupError):
-        step(plane_wave(1e100, 0, 8), config)
+        evolve(plane_wave(1e100, 0, 8), config, 1)
     # the first rotation angle overflows; the non-finite values must
     # survive the later steps, masked phase included, to the final check
     with pytest.raises(BlowupError):
@@ -224,13 +213,6 @@ def test_random_state_is_reproducible():
     assert sobolev_norm(a, 1) == pytest.approx(2.0, rel=1e-12)
     n = wavenumbers(32)
     assert np.all(a[np.abs(n) > 8] == 0)
-
-
-def test_evolve_one_step_is_step():
-    u = random_state(64, seed=13)
-    for config in (SolverConfig(n_modes=64, dt=1e-3, p=2),
-                   SolverConfig(n_modes=64, dt=-2e-3, p=3, padding_factor=5)):
-        assert np.array_equal(evolve(u, config, 1), step(u, config))
 
 
 @pytest.mark.parametrize("n_modes", [32, 64, 256])
@@ -294,18 +276,10 @@ def _states(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(density=_densities, u_hat=_states(),
-       grid_factor=st.one_of(st.none(), st.integers(1, 7)))
-def test_plan_matches_naive_evaluator(density, u_hat, grid_factor):
-    n_modes = len(u_hat)
-    if grid_factor is not None and any(
-            n_modes * grid_factor < (len(m.u_orders) + len(m.c_orders)) * (n_modes // 2) + 1
-            for m in density.monomials()):
-        with pytest.raises(PaddingError):
-            evaluate_density(u_hat, density, grid_factor)
-        return
-    want, scale = _naive_density(u_hat, density, grid_factor)
-    got = evaluate_density(u_hat, density, grid_factor)
+@given(density=_densities, u_hat=_states())
+def test_plan_matches_naive_evaluator(density, u_hat):
+    want, scale = _naive_density(u_hat, density)
+    got = evaluate_density(u_hat, density)
     assert abs(got - want) <= 1e-12 * scale
     # the term scale bounds the value and is bounded by the summed grid sizes
     assert abs(got) <= got.term_scale * (1 + 1e-12)

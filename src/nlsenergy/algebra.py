@@ -25,12 +25,13 @@ Their sum is the full formal time derivative of the density.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .rational import GaussianRational
+from .rational import _ZERO, GaussianRational, _gr
 
 
 class Factor(NamedTuple):
@@ -48,23 +49,34 @@ def _canonical(orders) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Monomial:
-    """Canonical multiset of derivative orders, split by conjugation."""
+    """Canonical multiset of derivative orders, split by conjugation.
+
+    Monomials are dictionary keys and sort keys in every density operation,
+    so the hash and `sort_key()` are computed once, at construction.
+    """
+
+    __slots__ = ("u_orders", "c_orders", "_hash", "_key")
 
     u_orders: tuple[int, ...]
     c_orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "u_orders", _canonical(self.u_orders))
-        object.__setattr__(self, "c_orders", _canonical(self.c_orders))
+        _set_orders(self, _canonical(self.u_orders), _canonical(self.c_orders))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return _monomial, (self.u_orders, self.c_orders)
 
     @property
     def signature(self) -> tuple[int, int, int]:
         """(#unconjugated factors, #conjugated factors, total derivative order)."""
-        return (len(self.u_orders), len(self.c_orders), self.total_order)
+        return self._key[:3]
 
     @property
     def total_order(self) -> int:
-        return sum(self.u_orders) + sum(self.c_orders)
+        return self._key[2]
 
     @property
     def max_order(self) -> int:
@@ -86,8 +98,7 @@ class Monomial:
         return Monomial(self.c_orders, self.u_orders)
 
     def sort_key(self):
-        return (len(self.u_orders), len(self.c_orders), self.total_order,
-                self.u_orders, self.c_orders)
+        return self._key
 
     def __str__(self):
         us = " ".join(f"d^{o}[u]" for o in self.u_orders)
@@ -95,13 +106,21 @@ class Monomial:
         return " ".join(part for part in (us, cs) if part)
 
 
+def _set_orders(m: Monomial, u: tuple[int, ...], c: tuple[int, ...]):
+    """Store canonical orders together with the hash and sort key they fix."""
+    object.__setattr__(m, "u_orders", u)
+    object.__setattr__(m, "c_orders", c)
+    object.__setattr__(m, "_hash", hash((u, c)))
+    object.__setattr__(m, "_key", (len(u), len(c), sum(u) + sum(c), u, c))
+
+
 def _monomial(u_orders: tuple[int, ...], c_orders: tuple[int, ...]) -> Monomial:
     """Internal constructor for orders derived from valid ones (a shift,
     a bump, a concatenation): sorts them into canonical form but skips the
     validation `Monomial` runs on every construction."""
     m = object.__new__(Monomial)
-    object.__setattr__(m, "u_orders", tuple(sorted(u_orders, reverse=True)))
-    object.__setattr__(m, "c_orders", tuple(sorted(c_orders, reverse=True)))
+    _set_orders(m, tuple(sorted(u_orders, reverse=True)),
+                tuple(sorted(c_orders, reverse=True)))
     return m
 
 
@@ -242,8 +261,8 @@ def dt_linear(e: Density) -> Density:
     """
     acc: dict[Monomial, GaussianRational] = {}
     for m, c in e._terms.items():
-        times_i = GaussianRational(-c.im, c.re)
-        times_minus_i = GaussianRational(c.im, -c.re)
+        times_i = _gr(-c.im, c.re)
+        times_minus_i = _gr(c.im, -c.re)
         for idx in range(len(m.u_orders)):
             _add_term(acc, _monomial(_bump(m.u_orders, idx, 2), m.c_orders), times_i)
         for idx in range(len(m.c_orders)):
@@ -308,12 +327,14 @@ def dt_nonlinear(e: Density, p: int) -> Density:
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"nonlinearity exponent p must be an int >= 2, got {p!r}")
-    # real and imaginary parts are summed apart: i w (x + iy) = -w y + i w x,
-    # so each term costs one or two rational products by an integer
-    re_acc: dict[Monomial, Fraction] = {}
-    im_acc: dict[Monomial, Fraction] = {}
+    # i w (x + iy) = -w y + i w x: over the common denominator of every
+    # coefficient part, both parts are integer sums of w times a numerator
+    denom = math.lcm(*(q.denominator for c in e._terms.values() for q in (c.re, c.im)))
+    re_acc: dict[Monomial, int] = {}
+    im_acc: dict[Monomial, int] = {}
     for m, c in e._terms.items():
-        x, y = c.re, c.im
+        x = c.re.numerator * (denom // c.re.denominator)
+        y = c.im.numerator * (denom // c.im.denominator)
         for key, w in _nonlinear_weights(m, p).items():
             if not w:
                 continue
@@ -323,9 +344,10 @@ def dt_nonlinear(e: Density, p: int) -> Density:
                 im_acc[key] = im_acc.get(key, 0) + w * x
     acc: dict[Monomial, GaussianRational] = {}
     for key in re_acc.keys() | im_acc.keys():
-        c = GaussianRational(re_acc.get(key, 0), im_acc.get(key, 0))
-        if c:
-            acc[key] = c
+        n_re, n_im = re_acc.get(key, 0), im_acc.get(key, 0)
+        if n_re or n_im:
+            acc[key] = _gr(Fraction(n_re, denom) if n_re else _ZERO,
+                           Fraction(n_im, denom) if n_im else _ZERO)
     return Density(acc)
 
 

@@ -630,8 +630,10 @@ def import_energy(source) -> EnergyDefinition:
     """Load and fully validate an energy document (dict, JSON text, or path).
 
     Validation recomputes the exact derivative and the residual
-    decomposition from the document's correction term and requires exact
-    agreement, so hand-edited coefficients or residuals are rejected.
+    decomposition from the document's correction term and requires the
+    document's text of each to be the canonical text of the recomputation,
+    so hand-edited coefficients or residuals are rejected.  Only `F_k` is
+    parsed; it may be any text of an equivalent correction.
     Anything unreadable, malformed or inconsistent, an unusable k or p
     included, raises EnergyDocumentError.
     """
@@ -648,9 +650,10 @@ def import_energy(source) -> EnergyDefinition:
         coefficients = {name: Fraction(v) for name, v in doc["coefficients"].items()}
         cubic = Fraction(doc["cubic_coeff"])
         correction = density_from_text(doc["F_k"])
-        quartic = density_from_text(doc["residual_omega"])
-        nonlinear = density_from_text(doc["residual_theta"])
-        exact = density_from_text(doc["exact_derivative"])
+        # the derived fields are compared as canonical text, not parsed
+        quartic_text = doc["residual_omega"]
+        nonlinear_text = doc["residual_theta"]
+        exact_text = doc["exact_derivative"]
     # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
     except (OSError, KeyError, ValueError, TypeError, AttributeError,
             ArithmeticError) as exc:
@@ -677,9 +680,10 @@ def import_energy(source) -> EnergyDefinition:
         rebuilt = _assemble(k, p, coefficients, correction)
     except (InfeasibleSystemError, CorrectionReductionError) as exc:
         raise EnergyDocumentError(f"inconsistent energy document: {exc}") from exc
-    if rebuilt.exact_derivative != exact:
+    if density_to_text(rebuilt.exact_derivative) != exact_text:
         raise EnergyDocumentError("exact_derivative does not match the recomputation")
-    if (rebuilt.residual_quartic != quartic or rebuilt.residual_nonlinear != nonlinear
+    if (density_to_text(rebuilt.residual_quartic) != quartic_text
+            or density_to_text(rebuilt.residual_nonlinear) != nonlinear_text
             or rebuilt.cubic_coefficient != cubic):
         raise EnergyDocumentError("residual decomposition does not match the recomputation")
     return rebuilt

@@ -19,6 +19,9 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational value, got {value!r}")
 
 
+_ZERO = Fraction(0)
+
+
 class GaussianRational:
     """Immutable a + b*i with a, b exact rationals."""
 
@@ -38,31 +41,38 @@ class GaussianRational:
         return cls(_as_fraction(value))
 
     # -- arithmetic ---------------------------------------------------------
+    # Parts are combined only where both are nonzero, so a real value times
+    # an imaginary one costs one product, not four.
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _gr(a + c if a and c else a or c, b + d if b and d else b or d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _gr(a - c if a and c else a or -c, b - d if b and d else b or -d)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        if not self.im and not other.im:  # common case: both real
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if a and b and c and d:
+            return _gr(a * c - b * d, a * d + b * c)
+        # with a zero part, each part of the product has at most one term
+        return _gr(a * c if a and c else -(b * d) if b and d else _ZERO,
+                   a * d if a and d else b * c if b and c else _ZERO)
 
     __rmul__ = __mul__
 
@@ -71,13 +81,13 @@ class GaussianRational:
         if not other.re and not other.im:
             raise ZeroDivisionError("division by zero GaussianRational")
         norm = other.re * other.re + other.im * other.im
-        return self * GaussianRational(other.re / norm, -other.im / norm)
+        return self * _gr(other.re / norm, -other.im / norm)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.re, -self.im)
 
     # -- predicates ---------------------------------------------------------
 
@@ -89,12 +99,16 @@ class GaussianRational:
         return not self.im
 
     def __eq__(self, other):
-        if isinstance(other, (GaussianRational, Rational)):
+        if other.__class__ is not GaussianRational:
+            if not isinstance(other, (GaussianRational, Rational)):
+                return NotImplemented
             other = GaussianRational.coerce(other)
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # a real value equals its Fraction, so it hashes like one
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     # -- conversions --------------------------------------------------------
@@ -139,6 +153,15 @@ class GaussianRational:
 
     def __str__(self):
         return self.to_text()
+
+
+def _gr(re: Fraction, im: Fraction) -> GaussianRational:
+    """Internal constructor for parts that are already Fractions: skips the
+    coercion and type checks of `GaussianRational(re, im)`."""
+    z = object.__new__(GaussianRational)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
 
 
 ZERO = GaussianRational(0)

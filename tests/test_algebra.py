@@ -5,6 +5,8 @@ abstract functions, which exercises the Leibniz combinatorics through an
 independent implementation.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -235,6 +237,22 @@ def test_substitutions_match_on_conjugated_and_plain_factors():
         assert dt_linear(d) == _naive_dt_linear(d)
 
 
+def test_substitution_over_coprime_denominators_cancels_exactly():
+    # 1/3 * (-6) + 1 * 2 = 0 at the cancelled monomial; 2/7 and 5/11*i bring
+    # further denominators coprime to 3
+    cancelled = Monomial((1, 1, 0, 0), (0, 0, 0))
+    first = Density.monomial((2, 0), (0,), coeff=Fraction(1, 3))
+    d = first + Density.monomial((1, 0), (1,)) \
+        + Density.monomial((2, 1), (1,), coeff=Fraction(2, 7)) \
+        + Density.monomial((3,), (0,), coeff=GaussianRational(0, Fraction(5, 11)))
+    assert cancelled in dt_nonlinear(first, 2).monomials()
+    got = dt_nonlinear(d, 2)
+    assert got == _naive_dt_nonlinear(d, 2)
+    assert cancelled not in got.monomials()
+    assert all(c for _, c in got.terms())
+    assert all(type(c.re) is Fraction and type(c.im) is Fraction for _, c in got.terms())
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(u=_orders, c=_orders)
 def test_internal_constructor_matches_monomial(u, c):
@@ -244,3 +262,10 @@ def test_internal_constructor_matches_monomial(u, c):
     assert hash(trusted) == hash(checked)
     assert (trusted.u_orders, trusted.c_orders) == (checked.u_orders, checked.c_orders)
     assert {trusted: 1}[checked] == 1
+    # the hash and sort key are fixed at construction, by either constructor
+    assert trusted.sort_key() == checked.sort_key()
+    assert hash(checked) == hash((checked.u_orders, checked.c_orders))
+    uo, co = checked.u_orders, checked.c_orders
+    assert checked.sort_key() == (len(uo), len(co), sum(uo) + sum(co), uo, co)
+    assert not hasattr(checked, "__dict__") and not hasattr(trusted, "__dict__")
+    assert copy.copy(trusted) == trusted and pickle.loads(pickle.dumps(checked)) == checked

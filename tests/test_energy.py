@@ -20,6 +20,7 @@ from nlsenergy.energy import (EnergyDocumentError, Family,
                               import_energy, quadratic_density,
                               save_energy, solve_energy,
                               verify_exact_conservation, verify_identities)
+from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer, classify,
                                  ibp_generators)
 
@@ -318,16 +319,52 @@ def _infinite_cubic(doc):
     doc["cubic_coeff"] = float("inf")
 
 
+# the next two leave each density equal, but its text is no longer the
+# canonical text of the recomputation
+
+def _reorder_exact_derivative(doc):
+    terms = doc["exact_derivative"].split(" + ")
+    terms[0], terms[1] = terms[1], terms[0]
+    doc["exact_derivative"] = " + ".join(terms)
+
+
+def _unreduced_quartic_coefficient(doc):
+    head, sep, tail = doc["residual_omega"].partition(" * ")
+    im = GaussianRational.from_text(head).im  # the (3,2) quartic residual is imaginary
+    doc["residual_omega"] = f"{2 * im.numerator}/{2 * im.denominator}*i{sep}{tail}"
+
+
 @pytest.mark.parametrize("mutate", [
     _flip_coefficient, _bump_cubic, _scale_correction, _swap_exact_derivative,
     _future_version, _rename_coefficient, _drop_correction, _k_as_text, _k_below_two,
-    _other_p, _zero_denominator, _infinite_cubic,
+    _other_p, _zero_denominator, _infinite_cubic, _reorder_exact_derivative,
+    _unreduced_quartic_coefficient,
 ])
 def test_import_rejects_tampered_documents(mutate):
     doc = export_energy(solve_energy(3, 2))
     mutate(doc)
     with pytest.raises(EnergyDocumentError):
         import_energy(doc)
+
+
+def test_import_rejects_a_document_without_a_derived_field():
+    doc = export_energy(solve_energy(3, 2))
+    del doc["residual_theta"]
+    with pytest.raises(EnergyDocumentError, match="malformed"):
+        import_energy(doc)
+
+
+def test_import_parses_only_the_correction(monkeypatch):
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return density_from_text(text)
+
+    doc = export_energy(solve_energy(4, 2))
+    monkeypatch.setattr(energy_module, "density_from_text", counting_parse)
+    import_energy(doc)
+    assert parsed == [doc["F_k"]]
 
 
 def test_import_rejects_malformed_json():

@@ -1,8 +1,11 @@
 """Exact complex-rational scalar arithmetic."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsenergy.rational import GaussianRational, I, ONE, ZERO
 
@@ -54,6 +57,10 @@ def test_equality_with_plain_rationals_and_hash():
     assert GaussianRational(2, 1) != 2
     assert hash(GaussianRational(7)) == hash(GaussianRational(7, 0))
     assert len({GaussianRational(1), GaussianRational(1, 0)}) == 1
+    # equal values hash equally, so a plain rational finds its equal in a set
+    for q in (0, 1, -3, Fraction(5, 3), Fraction(-2, 7)):
+        assert hash(GaussianRational(q)) == hash(q)
+        assert q in {GaussianRational(q)}
 
 
 def test_truthiness():
@@ -81,3 +88,29 @@ def test_text_forms():
     assert GaussianRational(0, -1).to_text() == "-1*i"
     text = GaussianRational(1, Fraction(1, 3)).to_text()
     assert "i" in text and GaussianRational.from_text(text) == GaussianRational(1, Fraction(1, 3))
+
+
+_nonzero = st.fractions(max_denominator=12).filter(bool)
+
+
+# each of the four parts is zero or not in every combination, so every
+# skipped product is exercised
+@pytest.mark.parametrize("zero", list(itertools.product([False, True], repeat=4)))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(parts=st.tuples(_nonzero, _nonzero, _nonzero, _nonzero))
+def test_arithmetic_matches_the_textbook_formulas(zero, parts):
+    a, b, c, d = (Fraction(0) if is_zero else q for is_zero, q in zip(zero, parts))
+    z, w = GaussianRational(a, b), GaussianRational(c, d)
+    cases = [
+        (z + w, (a + c, b + d)),
+        (z - w, (a - c, b - d)),
+        (z * w, (a * c - b * d, a * d + b * c)),
+        (-z, (-a, -b)),
+    ]
+    for got, (re, im) in cases:
+        assert (got.re, got.im) == (re, im)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        with pytest.raises(AttributeError):
+            got.re = re
+    # the operands are unchanged
+    assert (z.re, z.im, w.re, w.im) == (a, b, c, d)

@@ -101,9 +101,8 @@ class Monomial:
         return self._key
 
     def __str__(self):
-        us = " ".join(f"d^{o}[u]" for o in self.u_orders)
-        cs = " ".join(f"d^{o}[conj(u)]" for o in self.c_orders)
-        return " ".join(part for part in (us, cs) if part)
+        return _monomial_text(_block_text(self.u_orders, "[u]"),
+                              _block_text(self.c_orders, "[conj(u)]"))
 
 
 def _set_orders(m: Monomial, u: tuple[int, ...], c: tuple[int, ...]):
@@ -361,13 +360,34 @@ def dt_evolution(e: Density, p: int) -> Density:
 _FACTOR_RE = re.compile(r"^d\^(\d+)\[(u|conj\(u\))\]$")
 
 
+def _block_text(orders: tuple[int, ...], field: str) -> str:
+    """'d^a<field> d^b<field> ...' for one order block, '' if it is empty."""
+    if not orders:
+        return ""
+    return "d^" + f"{field} d^".join(map(str, orders)) + field
+
+
+def _monomial_text(u_text: str, c_text: str) -> str:
+    return f"{u_text} {c_text}" if u_text and c_text else u_text or c_text
+
+
 def density_to_text(e: Density) -> str:
     """Stable text form: terms joined by ' + ', each 'coeff * factors'."""
     if e.is_zero:
         return "0"
+    # the terms of a density share few order blocks, so each block is
+    # rendered once per call; the caches die with the call
+    u_blocks: dict[tuple[int, ...], str] = {}
+    c_blocks: dict[tuple[int, ...], str] = {}
     parts = []
     for m, c in e.terms():
-        parts.append(f"{c.to_text()} * {m}")
+        u_text = u_blocks.get(m.u_orders)
+        if u_text is None:
+            u_text = u_blocks[m.u_orders] = _block_text(m.u_orders, "[u]")
+        c_text = c_blocks.get(m.c_orders)
+        if c_text is None:
+            c_text = c_blocks[m.c_orders] = _block_text(m.c_orders, "[conj(u)]")
+        parts.append(f"{c.to_text()} * {_monomial_text(u_text, c_text)}")
     return " + ".join(parts)
 
 

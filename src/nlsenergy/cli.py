@@ -7,7 +7,9 @@ verification or tolerance violations.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -113,6 +115,22 @@ def _load_energy(config: RunConfig, energy_path):
     return _solve_or_exit(config.k, config.p)
 
 
+def _check_out(out):
+    """Fail before any solve or step if `out` has no folder to be written in."""
+    folder = Path(out).parent
+    if not folder.is_dir() or not os.access(folder, os.W_OK):
+        raise click.ClickException(f"cannot write {out}: {folder} is not a writable folder")
+
+
+@contextlib.contextmanager
+def _writing(out):
+    """End a failed write of `out` in a one-line message."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {out}: {exc.strerror or exc}")
+
+
 def _solve_or_exit(k: int, p: int):
     """solve_energy(k, p), or exit 2 with the message and the residual."""
     try:
@@ -131,13 +149,16 @@ def _solve_or_exit(k: int, p: int):
 def build(k, p, out):
     """Solve the cancellation system and print the correction table."""
     _require_kp(k, p)
+    if out:
+        _check_out(out)
     energy = _solve_or_exit(k, p)
     width = max(len(name) for name in energy.coefficients)
     for name, value in energy.coefficients.items():
         click.echo(f"{name:<{width}}  {value}")
     click.echo(f"cubic_coeff = {energy.cubic_coefficient}")
     if out:
-        save_energy(energy, out)
+        with _writing(out):
+            save_energy(energy, out)
         click.echo(f"wrote {out}")
 
 
@@ -182,13 +203,15 @@ def simulate(ctx, config_path, energy_path, out, **flags):
     and the cubic remainder; the largest ratio is printed at the end.
     """
     config = _build_config(ctx, config_path, **flags)
+    _check_out(out)
     energy = _load_energy(config, energy_path)
     try:
         rows = run_experiment(config, energy)
     except BlowupError as exc:
         click.echo(f"aborted: {exc}", err=True)
         sys.exit(3)
-    write_report(out, rows, config, energy)
+    with _writing(out):
+        write_report(out, rows, config, energy)
     last = rows[-1]
     click.echo(f"wrote {out} ({len(rows)} records)")
     click.echo(f"final: t={last['t']:g} hk={last['hk']:.6e} E_k={last['E_k']:.6e} "

@@ -199,10 +199,9 @@ def dispersive_reducer(k: int, p: int) -> SectorReducer:
     solver, identity verification, and document validation.
     """
     # a product with four or more derivative-bearing factors differentiates
-    # into terms with at least as many
+    # into terms with at least as many, so those products are never walked
     return SectorReducer(
-        ibp_generators((p + 1, p + 1, 2 * k), 2 * k,
-                       keep=lambda base: base.derivative_factor_count <= 3),
+        ibp_generators((p + 1, p + 1, 2 * k), 2 * k, max_derivative_factors=3),
         _in_class(k, p, MonomialClass.QUARTIC_REMAINDER))
 
 

@@ -52,10 +52,12 @@ class RunConfig:
     def __post_init__(self):
         """The one validation point of a run, so that bad input fails here,
         before any solve or step."""
-        for name in ("k", "p"):
+        for name, low in (("k", 2), ("p", 2), ("n_modes", 8), ("seed", 0),
+                          ("fd_substeps", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 2:
-                raise ValueError(f"{name} must be an int >= 2, got {value!r}")
+            # a bool is an int to Python, but never a count a run can use
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
         _check_modes(self.n_modes)
         for name in ("dt", "t_end", "record_dt", "fd_delta", "r_h1", "decay", "amplitude"):
             if not np.isfinite(getattr(self, name)):
@@ -66,8 +68,8 @@ class RunConfig:
             _check_mode(self.mode, self.n_modes)
         if self.t_end <= 0 or self.dt <= 0 or self.record_dt <= 0:
             raise ValueError("t_end, dt and record_dt must be positive")
-        if self.fd_delta <= 0 or self.fd_substeps < 1:
-            raise ValueError("finite-difference parameters must be positive")
+        if self.fd_delta <= 0:
+            raise ValueError(f"fd_delta must be positive, got {self.fd_delta!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -74,6 +74,46 @@ def test_text_rejects_garbage():
         density_from_text("3 * d^2[w]")
 
 
+def _factor_text(m: Monomial) -> str:
+    """Reference text of a monomial: one formatted string per factor."""
+    us = " ".join(f"d^{o}[u]" for o in m.u_orders)
+    cs = " ".join(f"d^{o}[conj(u)]" for o in m.c_orders)
+    return " ".join(part for part in (us, cs) if part)
+
+
+_text_orders = st.lists(st.integers(0, 12), max_size=4).map(tuple)
+_text_terms = st.lists(
+    st.tuples(st.builds(Monomial, _text_orders, _text_orders),
+              st.builds(GaussianRational,
+                        st.fractions(min_value=-9, max_value=9, max_denominator=11),
+                        st.fractions(min_value=-9, max_value=9, max_denominator=11))),
+    max_size=8)
+_EDGE_MONOMIALS = [Monomial((), ()), Monomial((0,), ()), Monomial((), (0, 0)),
+                 Monomial((12, 3), ()), Monomial((), (10, 1, 0)), Monomial((0, 0), (0,))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(terms=_text_terms)
+def test_text_matches_the_per_factor_formula(terms):
+    for m, _ in terms:
+        assert str(m) == _factor_text(m)
+    d = Density.from_terms(terms)
+    want = " + ".join(f"{c.to_text()} * {_factor_text(m)}" for m, c in d.terms())
+    assert density_to_text(d) == (want or "0")
+    # a monomial without factors prints as no text, which does not parse back
+    d = Density.from_terms((m, c) for m, c in terms if m.u_orders or m.c_orders)
+    assert density_from_text(density_to_text(d)) == d
+
+
+def test_text_of_single_block_and_zero_order_monomials():
+    for m in _EDGE_MONOMIALS:
+        assert str(m) == _factor_text(m)
+    assert str(Monomial((12, 3), ())) == "d^12[u] d^3[u]"
+    assert str(Monomial((), (10, 1, 0))) == "d^10[conj(u)] d^1[conj(u)] d^0[conj(u)]"
+    d = Density.from_terms((m, i + 1) for i, m in enumerate(_EDGE_MONOMIALS[1:]))
+    assert density_from_text(density_to_text(d)) == d
+
+
 def test_linear_substitution_by_hand():
     # each slot gains two orders; plain slots carry +i, conjugated ones -i
     d = Density.monomial((1,), (1,))

@@ -103,16 +103,56 @@ def test_bad_preset_in_config_document(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--n-modes", "48"), ("--dt", "nan"), ("--dt", "inf"), ("--t-end", "inf"),
+    ("--seed", "-1"),
+    # a config document's values, which JSON may type as floats
+    ("--config", {"seed": 1.5}), ("--config", {"fd_substeps": 10.0}),
+    ("--config", {"n_modes": 16.0}),
 ])
 def test_simulate_rejects_bad_run_flags_as_usage_errors(tmp_path, flag, value):
     out = tmp_path / "never.csv"
-    result = invoke("simulate", "--k", "2", "--p", "2", *FAST, flag, value,
+    fast = FAST
+    if flag == "--config":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(value))
+        value, fast = str(cfg), []   # FAST's --n-modes would override the document
+    result = invoke("simulate", "--k", "2", "--p", "2", *fast, flag, value,
                     "--out", str(out))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "Error:" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "simulate"])
+def test_out_in_a_missing_folder_fails_before_any_work(tmp_path, monkeypatch, command):
+    def no_work(*args):
+        raise AssertionError("solved or integrated before checking --out")
+
+    monkeypatch.setattr(cli, "solve_energy", no_work)
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    out = tmp_path / "missing" / "never.out"
+    extra = FAST if command == "simulate" else []
+    result = invoke(command, "--k", "2", "--p", "2", *extra, "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stderr.strip().splitlines() == [f"Error: cannot write {out}: "
+                                                  f"{out.parent} is not a writable folder"]
+    assert not out.parent.exists()
+
+
+def test_build_reports_a_failed_write_in_one_line(tmp_path, monkeypatch):
+    def refuse(energy, path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "save_energy", refuse)
+    out = tmp_path / "e.json"
+    result = invoke("build", "--k", "2", "--p", "2", "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.strip().splitlines() == [
+        f"Error: cannot write {out}: Permission denied"]
 
 
 def test_out_of_range_plane_wave_mode_in_config_document(tmp_path):

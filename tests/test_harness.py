@@ -34,6 +34,8 @@ def test_run_config_validation():
 
 @pytest.mark.parametrize("overrides", [
     {"k": 1}, {"p": 1}, {"k": 2.0}, {"p": "2"}, {"n_modes": 48}, {"n_modes": 4},
+    {"n_modes": 16.0}, {"seed": -1}, {"seed": 1.5}, {"seed": True},
+    {"fd_substeps": 0}, {"fd_substeps": 10.0}, {"fd_delta": 0.0},
     *({name: value} for name in ("dt", "t_end", "record_dt", "fd_delta",
                                  "r_h1", "decay", "amplitude")
       for value in (float("nan"), float("inf"), float("-inf"))),

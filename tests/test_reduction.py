@@ -42,6 +42,30 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n_u=st.integers(0, 5), n_c=st.integers(0, 5), total=st.integers(0, 12),
+       max_order=st.integers(0, 12), cap=st.integers(0, 4))
+def test_capped_walk_is_the_filtered_walk(n_u, n_c, total, max_order, cap):
+    signature = (n_u, n_c, total)
+    assert enumerate_monomials(signature, max_order, cap) == [
+        b for b in enumerate_monomials(signature, max_order)
+        if b.derivative_factor_count <= cap]
+
+
+def test_capped_generators_are_the_kept_generators():
+    for signature in ((3, 3, 8), (2, 4, 7), (1, 1, 5)):
+        for cap in range(4):
+            assert ibp_generators(signature, signature[2], max_derivative_factors=cap) == \
+                ibp_generators(signature, signature[2],
+                               keep=lambda b: b.derivative_factor_count <= cap)
+
+
+@pytest.mark.parametrize("k,p,kept", [(12, 4, 376), (16, 5, 672), (20, 5, 1054)])
+def test_dispersive_walk_keeps_the_bases_with_at_most_three_derivative_factors(k, p, kept):
+    bases = enumerate_monomials((p + 1, p + 1, 2 * k - 1), 2 * k - 1, 3)
+    assert len(bases) == kept
+
+
 def test_generators_are_total_derivatives():
     """Each span element is the full Leibniz expansion of d/dx applied to
     a lower-order monomial; identical slots accumulate multiplicity."""

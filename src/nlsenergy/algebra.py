@@ -271,20 +271,27 @@ def dt_linear(e: Density) -> Density:
 
 @functools.lru_cache(maxsize=None)
 def _power_derivative(p: int, order: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """d^order of u^{p+1} conj(u)^p as integer-weighted derivative multisets."""
-    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {
-        ((0,) * (p + 1), (0,) * p): 1,
-    }
-    for _ in range(order):
-        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (uo, co), w in terms.items():
-            for idx in range(len(uo)):
-                key = (tuple(sorted(_bump(uo, idx, 1), reverse=True)), co)
-                nxt[key] = nxt.get(key, 0) + w
-            for idx in range(len(co)):
-                key = (uo, tuple(sorted(_bump(co, idx, 1), reverse=True)))
-                nxt[key] = nxt.get(key, 0) + w
-        terms = nxt
+    """d^order of u^{p+1} conj(u)^p as integer-weighted derivative multisets.
+
+    Order a is one derivative of the cached order a-1.  Bumping any one of
+    several equal orders gives the same term, so the first of them is
+    bumped once, weighted by their multiplicity; in a tuple sorted
+    descending the first of equal orders stays sorted after the bump.
+    """
+    if order == 0:
+        return (((0,) * (p + 1), (0,) * p, 1),)
+    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for uo, co, w in _power_derivative(p, order - 1):
+        for idx, a in enumerate(uo):
+            if idx and uo[idx - 1] == a:
+                continue
+            key = (_bump(uo, idx, 1), co)
+            terms[key] = terms.get(key, 0) + w * uo.count(a)
+        for idx, a in enumerate(co):
+            if idx and co[idx - 1] == a:
+                continue
+            key = (uo, _bump(co, idx, 1))
+            terms[key] = terms.get(key, 0) + w * co.count(a)
     return tuple((uo, co, w) for (uo, co), w in terms.items())
 
 
@@ -368,11 +375,13 @@ def _block_text(orders: tuple[int, ...], field: str) -> str:
 
 
 def _monomial_text(u_text: str, c_text: str) -> str:
-    return f"{u_text} {c_text}" if u_text and c_text else u_text or c_text
+    # the monomial without factors is the constant 1
+    return f"{u_text} {c_text}" if u_text and c_text else u_text or c_text or "1"
 
 
 def density_to_text(e: Density) -> str:
-    """Stable text form: terms joined by ' + ', each 'coeff * factors'."""
+    """Stable text form: terms joined by ' + ', each 'coeff * factors', and
+    'coeff * 1' for the monomial without factors."""
     if e.is_zero:
         return "0"
     # the terms of a density share few order blocks, so each block is
@@ -402,7 +411,12 @@ def density_from_text(text: str) -> Density:
             raise ValueError(f"malformed density term: {term!r}")
         coeff = GaussianRational.from_text(head)
         u_orders, c_orders = [], []
-        for tok in tail.split():
+        tokens = tail.split()
+        if tokens == ["1"]:     # the monomial without factors
+            tokens = []
+        elif not tokens:
+            raise ValueError(f"malformed density term: {term!r}")
+        for tok in tokens:
             match = _FACTOR_RE.match(tok)
             if not match:
                 raise ValueError(f"malformed factor token: {tok!r}")

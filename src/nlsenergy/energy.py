@@ -22,7 +22,7 @@ import enum
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -247,6 +247,9 @@ class EnergyDefinition:
     residual_nonlinear: Density
     cubic_coefficient: Fraction
     exact_derivative: Density
+    # the evaluation plan of a record's functionals, kept here once
+    # :func:`nlsenergy.harness.record_plan` has built it
+    _record_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     # the two sums are built once per energy, so each density a run
     # evaluates is compiled into one evaluation plan; the fields are never

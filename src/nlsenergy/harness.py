@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .energy import (EnergyDefinition, cubic_density, energy_hash,
                      hamiltonian_density)
-from .spectral import (SolverConfig, _check_mode, _check_modes, energy_value,
-                       evaluate_real, evolve, l2_norm, plane_wave,
-                       random_state, sobolev_norm)
+from .spectral import (DensityPlan, SolverConfig, _check_mode, _check_modes,
+                       energy_value, evolve, l2_norm, plane_wave, random_state,
+                       sobolev_norm)
 
 CSV_COLUMNS = ("t", "l2", "h1", "hk", "hamiltonian", "E_k", "F_k",
                "dEk_fd", "dEk_exact", "cubic_remainder", "bound_ratio")
@@ -90,18 +90,49 @@ def solver_config(config: RunConfig) -> SolverConfig:
     return SolverConfig(n_modes=config.n_modes, dt=config.dt, p=config.p)
 
 
+# the functionals a record evaluates at its state, in the order of the
+# record plan; "cubic" is there only when the energy has a cubic term
+_RECORD_FUNCTIONALS = ("exact", "decomposition", "E_k", "F_k", "hamiltonian", "cubic")
+
+
+def record_plan(energy: EnergyDefinition) -> DensityPlan:
+    """One plan over every functional a record evaluates, compiled on first
+    use and then kept on the energy, whose densities never change."""
+    plan = energy._record_plan
+    if plan is None:
+        densities = (energy.exact_derivative, energy.residual_density(),
+                     energy.energy_density(), energy.correction,
+                     hamiltonian_density(energy.p))
+        if energy.cubic_coefficient:
+            densities += (cubic_density(energy.k, energy.p),)
+        plan = energy._record_plan = DensityPlan(densities)
+    return plan
+
+
+def _evaluate_record(u_hat: np.ndarray, energy: EnergyDefinition) -> dict[str, float]:
+    """The record's functionals at one state, from one plan evaluation."""
+    return dict(zip(_RECORD_FUNCTIONALS, record_plan(energy).evaluate_real(u_hat)))
+
+
 def derivative_crosscheck(u_hat: np.ndarray, energy: EnergyDefinition,
-                          fd_delta: float = 2e-5, fd_substeps: int = 10) -> dict:
+                          fd_delta: float = 2e-5, fd_substeps: int = 10,
+                          record: dict[str, float] | None = None) -> dict:
     """Central finite difference of the energy along the flow vs the exact
-    symbolic derivative, plus the decomposition identity, at one state."""
+    symbolic derivative, plus the decomposition identity, at one state.
+
+    The exact derivative and its decomposition are read from `record`,
+    the values of the record plan at u_hat, evaluated here unless the
+    caller (`observe`) already has them.
+    """
+    if record is None:
+        record = _evaluate_record(u_hat, energy)
     dt_sub = fd_delta / fd_substeps
     fwd = SolverConfig(n_modes=len(u_hat), dt=dt_sub, p=energy.p)
     bwd = SolverConfig(n_modes=len(u_hat), dt=-dt_sub, p=energy.p)
     e_plus = energy_value(evolve(u_hat, fwd, fd_substeps), energy)
     e_minus = energy_value(evolve(u_hat, bwd, fd_substeps), energy)
     fd = (e_plus - e_minus) / (2 * fd_delta)
-    exact = evaluate_real(u_hat, energy.exact_derivative)
-    residual = evaluate_real(u_hat, energy.residual_density())
+    exact, residual = record["exact"], record["decomposition"]
     scale = max(abs(exact), abs(fd), 1e-30)
     return {
         "fd": fd,
@@ -116,13 +147,10 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
             config: RunConfig) -> dict:
     k = energy.k
     hk = sobolev_norm(u_hat, k)
-    f_val = evaluate_real(u_hat, energy.correction)
-    cross = derivative_crosscheck(u_hat, energy, config.fd_delta, config.fd_substeps)
-    if energy.cubic_coefficient:
-        cubic = float(energy.cubic_coefficient) * evaluate_real(
-            u_hat, cubic_density(k, energy.p))
-    else:
-        cubic = 0.0
+    record = _evaluate_record(u_hat, energy)
+    cross = derivative_crosscheck(u_hat, energy, config.fd_delta, config.fd_substeps,
+                                  record)
+    f_val = record["F_k"]
     # growth-bound exponent 2(k-2)/(k-1); degenerates to 0 at k=2 so the
     # monitored quantity is then just |F| itself.  hk vanishes only at u = 0,
     # where F does too, and the ratio is taken as 0 there
@@ -132,12 +160,12 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
         "l2": l2_norm(u_hat),
         "h1": sobolev_norm(u_hat, 1),
         "hk": hk,
-        "hamiltonian": evaluate_real(u_hat, hamiltonian_density(energy.p)),
-        "E_k": energy_value(u_hat, energy),
+        "hamiltonian": record["hamiltonian"],
+        "E_k": record["E_k"],
         "F_k": f_val,
         "dEk_fd": cross["fd"],
         "dEk_exact": cross["exact"],
-        "cubic_remainder": cubic,
+        "cubic_remainder": float(energy.cubic_coefficient) * record.get("cubic", 0.0),
         "bound_ratio": abs(f_val) / hk ** exponent if hk else 0.0,
     }
 

@@ -12,15 +12,20 @@ retained modes and zero elsewhere, so one product is the linear step,
 the normalisation of the forward FFT and the projection back onto the
 retained modes.
 
-Density functionals are evaluated by exact quadrature.  Each density is
-compiled once into a :class:`DensityPlan` that groups its monomials by
-factor count q: a group evaluates all of its distinct derivative grids
-with one batched inverse FFT on the grid of n_modes*(q//2+1) points, at
-least the q*n_modes/2 + 1 that make the quadrature exact for the
-product's bandwidth, then gathers, multiplies and averages the factor
-grids of every term at once.  Pair monomials (one factor of each
-conjugation) instead sum an explicit per-mode symbol, which keeps the
-large cancellations between high-order terms exact in floating point.
+Density functionals are evaluated by exact quadrature.  A
+:class:`DensityPlan` compiles a tuple of densities: it groups the distinct
+monomials of all of them by factor count q, evaluates each distinct
+monomial once per state, and keeps one row of coefficients per density,
+so each density gets its own value and term scale.  A group evaluates
+all of its distinct derivative grids with one batched inverse FFT on the
+grid of n_modes*(q//2+1) points, at least the q*n_modes/2 + 1 that make
+the quadrature exact for the product's bandwidth, then gathers,
+multiplies and averages the factor grids of every monomial at once.  Pair
+monomials (one factor of each conjugation) instead sum an explicit
+per-mode symbol, which keeps the large cancellations between high-order
+terms exact in floating point.  :func:`compile_density` keeps the plan of
+one density on that density; the monitor keeps one plan over all the
+functionals of a record on the energy.
 """
 
 from __future__ import annotations
@@ -208,22 +213,24 @@ class DensityValue(complex):
 
 
 class _FactorGroup:
-    """The monomials of one factor count q, as arrays: the distinct
-    derivative orders, a terms x q index of each factor into the stacked
-    plain and conjugated grids of those orders, and the coefficients."""
+    """The distinct monomials of one factor count q across a plan's
+    densities, as arrays: the distinct derivative orders, a monomials x q
+    index of each factor into the stacked plain and conjugated grids of
+    those orders, and a densities x monomials matrix of coefficients."""
 
-    def __init__(self, q: int, terms: list[tuple[Monomial, complex]]):
+    def __init__(self, q: int, monomials: list[Monomial], coeffs: np.ndarray):
         self.q = q
-        self.orders = sorted({order for m, _ in terms for order, _ in m.factors()})
+        self.orders = sorted({order for m in monomials for order, _ in m.factors()})
         row = {order: i for i, order in enumerate(self.orders)}
         conj_offset = len(self.orders)
         self.index = np.array(
             [[row[order] + conj_offset * conjugated for order, conjugated in m.factors()]
-             for m, _ in terms], dtype=np.intp).reshape(len(terms), q)
-        self.coeffs = np.array([c for _, c in terms], dtype=complex)
+             for m in monomials], dtype=np.intp).reshape(len(monomials), q)
+        self.coeffs = coeffs
 
     def terms(self, u_hat: np.ndarray) -> np.ndarray:
-        """c_j v_j for every term, v_j by exact quadrature on the group's grid.
+        """c_ij v_j for every density i and monomial j, each v_j computed
+        once by exact quadrature on the group's grid.
 
         The product of q factors of bandwidth N/2 has bandwidth q*N/2; the
         grid of N*(q//2+1) points has at least q*N/2 + 1 of them for every
@@ -239,7 +246,7 @@ class _FactorGroup:
             spec[i, n % m] = u_hat * ik ** order
         plain = np.fft.ifft(spec, axis=1) * m
         grids = np.concatenate([plain, np.conj(plain)])
-        values = np.empty(len(self.coeffs), dtype=complex)
+        values = np.empty(len(self.index), dtype=complex)
         rows = max(1, _CHUNK_VALUES // m)
         for start in range(0, len(values), rows):
             index = self.index[start:start + rows]
@@ -251,45 +258,86 @@ class _FactorGroup:
 
 
 class DensityPlan:
-    """A density compiled for repeated numerical evaluation.
+    """A tuple of densities compiled for repeated numerical evaluation.
 
-    Monomials are grouped by factor count, except pair monomials
-    (signature (1, 1, .)), which take the per-mode symbol path.  Build
-    plans through :func:`compile_density`, which compiles each density
-    once.
+    The distinct monomials of all the densities are grouped by factor
+    count, except pair monomials (signature (1, 1, .)), which take the
+    per-mode symbol path; each distinct monomial is evaluated once per
+    state, and each density keeps its own row of coefficients.  Build the
+    plan of a single density through :func:`compile_density`, which
+    compiles each density once.
     """
 
-    def __init__(self, density: Density):
-        self.is_real_valued = density.is_real_valued
-        by_q: dict[int, list] = {}
-        self.pairs = []
-        for m, c in density.terms():
+    def __init__(self, densities: tuple[Density, ...]):
+        self.size = len(densities)
+        self.is_real_valued = all(d.is_real_valued for d in densities)
+        # every density lists its terms in the one canonical order, so the
+        # union in that order keeps each density's order of summation
+        monomials = sorted({m for d in densities for m in d.monomials()},
+                           key=Monomial.sort_key, reverse=True)
+        column = {m: j for j, m in enumerate(monomials)}
+        coeffs = np.zeros((self.size, len(monomials)), dtype=complex)
+        for i, d in enumerate(densities):
+            for m, c in d.terms():
+                coeffs[i, column[m]] = complex(c)
+        by_q: dict[int, list[Monomial]] = {}
+        pairs: list[Monomial] = []
+        for m in monomials:
             if m.signature[:2] == (1, 1):
-                self.pairs.append((m.u_orders[0], m.c_orders[0], complex(c)))
+                pairs.append(m)
             else:
-                by_q.setdefault(len(m.u_orders) + len(m.c_orders), []).append((m, complex(c)))
-        self.groups = [_FactorGroup(q, terms) for q, terms in sorted(by_q.items())]
+                by_q.setdefault(len(m.u_orders) + len(m.c_orders), []).append(m)
 
-    def evaluate(self, u_hat: np.ndarray) -> DensityValue:
+        def columns(group: list[Monomial]) -> np.ndarray:
+            # row-major, so that each density sums its terms pairwise along a row
+            return np.ascontiguousarray(coeffs[:, [column[m] for m in group]])
+
+        self.groups = [_FactorGroup(q, group, columns(group))
+                       for q, group in sorted(by_q.items())]
+        self.pair_orders = [(m.u_orders[0], m.c_orders[0]) for m in pairs]
+        self.pair_coeffs = columns(pairs)
+
+    def evaluate(self, u_hat: np.ndarray) -> tuple[DensityValue, ...]:
+        """The value of every density at one state, in the plan's order."""
         _check_modes(len(u_hat))
-        value, scale = 0j, 0.0
+        value = np.zeros(self.size, dtype=complex)
+        scale = np.zeros(self.size)
         for group in self.groups:
             terms = group.terms(u_hat)
-            value += terms.sum()
-            scale += np.abs(terms).sum()
-        if self.pairs:
-            # per mode: the sum of the symbols c (in)^a (-in)^b, and of
-            # their magnitudes |c| |n|^(a+b)
+            value += terms.sum(axis=1)
+            scale += np.abs(terms).sum(axis=1)
+        if self.pair_orders:
+            # per density and mode: the sum of the symbols c (in)^a (-in)^b,
+            # and of their magnitudes |c| |n|^(a+b)
             n = wavenumbers(len(u_hat)).astype(float)
-            symbol = np.zeros(len(u_hat), dtype=complex)
-            magnitude = np.zeros(len(u_hat))
-            for a, b, c in self.pairs:
-                symbol = symbol + c * (1j * n) ** a * (-1j * n) ** b
-                magnitude = magnitude + abs(c) * np.abs(n) ** (a + b)
+            symbol = np.zeros((self.size, len(u_hat)), dtype=complex)
+            magnitude = np.zeros((self.size, len(u_hat)))
+            for (a, b), c in zip(self.pair_orders, self.pair_coeffs.T):
+                symbol = symbol + c[:, None] * (1j * n) ** a * (-1j * n) ** b
+                magnitude = magnitude + np.abs(c)[:, None] * np.abs(n) ** (a + b)
             power = np.abs(u_hat) ** 2
-            value += 2 * np.pi * np.sum(symbol * power)
-            scale += 2 * np.pi * np.sum(magnitude * power)
-        return DensityValue(value, scale)
+            value += 2 * np.pi * np.sum(symbol * power, axis=1)
+            scale += 2 * np.pi * np.sum(magnitude * power, axis=1)
+        return tuple(DensityValue(v, s) for v, s in zip(value, scale))
+
+    def evaluate_real(self, u_hat: np.ndarray) -> tuple[float, ...]:
+        """The values of conjugation-fixed functionals; the imaginary part
+        of each is pure floating-point residue and must sit far below the
+        size of the terms summed for that value."""
+        self._require_real()
+        return tuple(_real_part(v) for v in self.evaluate(u_hat))
+
+    def _require_real(self):
+        if not self.is_real_valued:
+            raise ValueError("density is not conjugation-fixed; use evaluate_density")
+
+
+def _real_part(v: DensityValue) -> float:
+    if abs(v.imag) > 1e-9 * max(1.0, v.term_scale):
+        raise ArithmeticError(
+            f"imaginary residue {v.imag:.3e} too large for real value {v.real:.3e} "
+            f"(terms of size {v.term_scale:.3e})")
+    return v.real
 
 
 def compile_density(density: Density) -> DensityPlan:
@@ -297,7 +345,7 @@ def compile_density(density: Density) -> DensityPlan:
     on the density, which never changes after construction."""
     plan = density._plan
     if plan is None:
-        plan = density._plan = DensityPlan(density)
+        plan = density._plan = DensityPlan((density,))
     return plan
 
 
@@ -309,21 +357,13 @@ def evaluate_density(u_hat: np.ndarray, density: Density) -> DensityValue:
     terms of one mode, which grid quadrature cannot guarantee in floating
     point).
     """
-    return compile_density(density).evaluate(u_hat)
+    return compile_density(density).evaluate(u_hat)[0]
 
 
 def evaluate_real(u_hat: np.ndarray, density: Density) -> float:
-    """Value of a conjugation-fixed functional; the imaginary part is pure
-    floating-point residue and must sit far below the size of the terms
-    summed for the value."""
-    if not compile_density(density).is_real_valued:
-        raise ValueError("density is not conjugation-fixed; use evaluate_density")
-    v = evaluate_density(u_hat, density)
-    if abs(v.imag) > 1e-9 * max(1.0, v.term_scale):
-        raise ArithmeticError(
-            f"imaginary residue {v.imag:.3e} too large for real value {v.real:.3e} "
-            f"(terms of size {v.term_scale:.3e})")
-    return v.real
+    """Value of a conjugation-fixed functional; see DensityPlan.evaluate_real."""
+    compile_density(density)._require_real()
+    return _real_part(evaluate_density(u_hat, density))
 
 
 def hamiltonian(u_hat: np.ndarray, p: int) -> float:

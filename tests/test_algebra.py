@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlsenergy.algebra import (Density, Monomial, _monomial, _power_derivative,
@@ -75,10 +75,11 @@ def test_text_rejects_garbage():
 
 
 def _factor_text(m: Monomial) -> str:
-    """Reference text of a monomial: one formatted string per factor."""
+    """Reference text of a monomial: one formatted string per factor, and
+    '1' for the monomial without factors."""
     us = " ".join(f"d^{o}[u]" for o in m.u_orders)
     cs = " ".join(f"d^{o}[conj(u)]" for o in m.c_orders)
-    return " ".join(part for part in (us, cs) if part)
+    return " ".join(part for part in (us, cs) if part) or "1"
 
 
 _text_orders = st.lists(st.integers(0, 12), max_size=4).map(tuple)
@@ -94,14 +95,14 @@ _EDGE_MONOMIALS = [Monomial((), ()), Monomial((0,), ()), Monomial((), (0, 0)),
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(terms=_text_terms)
+@example(terms=[(Monomial((), ()), GaussianRational(Fraction(-3, 2), 1)),
+                (Monomial((0,), (0,)), GaussianRational(2))])
 def test_text_matches_the_per_factor_formula(terms):
     for m, _ in terms:
         assert str(m) == _factor_text(m)
     d = Density.from_terms(terms)
     want = " + ".join(f"{c.to_text()} * {_factor_text(m)}" for m, c in d.terms())
     assert density_to_text(d) == (want or "0")
-    # a monomial without factors prints as no text, which does not parse back
-    d = Density.from_terms((m, c) for m, c in terms if m.u_orders or m.c_orders)
     assert density_from_text(density_to_text(d)) == d
 
 
@@ -110,8 +111,13 @@ def test_text_of_single_block_and_zero_order_monomials():
         assert str(m) == _factor_text(m)
     assert str(Monomial((12, 3), ())) == "d^12[u] d^3[u]"
     assert str(Monomial((), (10, 1, 0))) == "d^10[conj(u)] d^1[conj(u)] d^0[conj(u)]"
-    d = Density.from_terms((m, i + 1) for i, m in enumerate(_EDGE_MONOMIALS[1:]))
+    assert str(Monomial((), ())) == "1"
+    assert density_to_text(Density.from_terms([(Monomial((), ()), 1)])) == "1 * 1"
+    d = Density.from_terms((m, i + 1) for i, m in enumerate(_EDGE_MONOMIALS))
     assert density_from_text(density_to_text(d)) == d
+    for text in ("1 * ", "1 *  ", "2 *   + 1 * d^0[u]", "1 * 1 1", "1 * 1 d^0[u]"):
+        with pytest.raises(ValueError):
+            density_from_text(text)
 
 
 def test_linear_substitution_by_hand():
@@ -245,6 +251,31 @@ def _naive_dt_nonlinear(e: Density, p: int) -> Density:
             for uo, co, w in _power_derivative(p, a):
                 pairs.append((Monomial(m.u_orders + co, rest + uo), c * I * w))
     return Density.from_terms(pairs)
+
+
+def _naive_power_derivative(p: int, order: int):
+    """Reference for _power_derivative: the expansion from order 0, every
+    factor bumped in turn, equal factors included."""
+    terms = {((0,) * (p + 1), (0,) * p): 1}
+    for _ in range(order):
+        nxt = {}
+        for (uo, co), w in terms.items():
+            for idx in range(len(uo)):
+                bumped = uo[:idx] + (uo[idx] + 1,) + uo[idx + 1:]
+                key = (tuple(sorted(bumped, reverse=True)), co)
+                nxt[key] = nxt.get(key, 0) + w
+            for idx in range(len(co)):
+                bumped = co[:idx] + (co[idx] + 1,) + co[idx + 1:]
+                key = (uo, tuple(sorted(bumped, reverse=True)))
+                nxt[key] = nxt.get(key, 0) + w
+        terms = nxt
+    return tuple((uo, co, w) for (uo, co), w in terms.items())
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_power_derivative_matches_the_expansion_from_order_zero(p):
+    for order in range(11):
+        assert _power_derivative(p, order) == _naive_power_derivative(p, order)
 
 
 _fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)

@@ -5,13 +5,13 @@ import json
 
 import pytest
 
-from nlsenergy import spectral
-from nlsenergy.energy import (energy_hash, export_energy, import_energy,
-                              solve_energy)
+from nlsenergy import harness, spectral
+from nlsenergy.energy import (cubic_density, energy_hash, export_energy,
+                              hamiltonian_density, import_energy, solve_energy)
 from nlsenergy.harness import (CSV_COLUMNS, RunConfig, derivative_crosscheck,
                                format_csv, initial_state, max_bound_ratio,
                                observe, run_experiment, write_report)
-from nlsenergy.spectral import random_state
+from nlsenergy.spectral import evaluate_density, evaluate_real, random_state
 
 
 def _small_config(**overrides) -> RunConfig:
@@ -147,20 +147,46 @@ def test_record_where_the_derivative_nearly_vanishes_completes():
     assert min(abs(r["dEk_exact"]) for r in rows) < 2.0
 
 
-def test_a_run_compiles_each_density_once(monkeypatch):
+def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch):
     compiled = []
 
     class CountingPlan(spectral.DensityPlan):
-        def __init__(self, density):
-            compiled.append(density)
-            super().__init__(density)
+        def __init__(self, densities):
+            compiled.append(densities)
+            super().__init__(densities)
 
     monkeypatch.setattr(spectral, "DensityPlan", CountingPlan)
+    monkeypatch.setattr(harness, "DensityPlan", CountingPlan)
     # a freshly imported energy: none of its densities has a plan yet
     energy = import_energy(export_energy(solve_energy(3, 2)))
-    rows = run_experiment(_small_config(k=3, t_end=5e-3, record_dt=5e-3), energy)
-    assert len(rows) == 2
-    assert len({id(d) for d in compiled}) == len(compiled) <= 6
-    for density in (energy.correction, energy.exact_derivative,
-                    energy.energy_density(), energy.residual_density()):
-        assert sum(d is density for d in compiled) == 1
+    assert energy.cubic_coefficient
+    config = _small_config(k=3, t_end=1e-2, record_dt=2e-3)
+    assert len(run_experiment(config, energy)) == 6
+    assert len(run_experiment(config, energy)) == 6
+    # the record plan, then the plan of E_k for the finite-difference legs
+    assert len(compiled) == 2
+    record, legs = compiled
+    want = (energy.exact_derivative, energy.residual_density(), energy.energy_density(),
+            energy.correction, hamiltonian_density(2), cubic_density(3, 2))
+    assert len(record) == len(want)
+    assert all(got is density for got, density in zip(record, want))
+    assert len(legs) == 1 and legs[0] is energy.energy_density()
+    assert harness.record_plan(energy) is energy._record_plan
+
+
+def test_a_record_equals_separate_evaluations():
+    energy = solve_energy(6, 2)
+    config = _small_config(k=6, n_modes=64, seed=4)
+    u = initial_state(config)
+    row = observe(u, 0.0, energy, config)
+    for column, density in (("E_k", energy.energy_density()),
+                            ("F_k", energy.correction),
+                            ("hamiltonian", hamiltonian_density(2)),
+                            ("dEk_exact", energy.exact_derivative)):
+        scale = evaluate_density(u, density).term_scale
+        assert abs(row[column] - evaluate_real(u, density)) <= 1e-12 * scale
+    weight = float(energy.cubic_coefficient)
+    cubic = cubic_density(6, 2)
+    assert weight
+    assert abs(row["cubic_remainder"] - weight * evaluate_real(u, cubic)) <= \
+        1e-12 * abs(weight) * evaluate_density(u, cubic).term_scale

@@ -11,11 +11,11 @@ from nlsenergy.algebra import Density, Monomial
 from nlsenergy.energy import quadratic_density, solve_energy
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import ibp_generators
-from nlsenergy.spectral import (BlowupError, SolverConfig, compile_density,
-                                energy_value, evaluate_density, evaluate_real,
-                                evolve, hamiltonian, l2_norm, momentum,
-                                plane_wave, plane_wave_solution, random_state,
-                                sobolev_norm, wavenumbers)
+from nlsenergy.spectral import (BlowupError, DensityPlan, SolverConfig,
+                                compile_density, energy_value, evaluate_density,
+                                evaluate_real, evolve, hamiltonian, l2_norm,
+                                momentum, plane_wave, plane_wave_solution,
+                                random_state, sobolev_norm, wavenumbers)
 
 
 class _AliasingGrid(ValueError):
@@ -286,6 +286,31 @@ def test_plan_matches_naive_evaluator(density, u_hat):
     assert got.term_scale <= scale * (1 + 1e-12)
 
 
+@st.composite
+def _density_tuples(draw):
+    """One to four densities over one pool of monomials, so that they
+    share terms; a density may draw no term and be zero."""
+    pool = draw(st.lists(_monomials(), min_size=1, max_size=8))
+    coeffs = st.builds(GaussianRational, _fractions, _fractions)
+    return tuple(
+        Density.from_terms((m, draw(coeffs))
+                           for m in draw(st.lists(st.sampled_from(pool), max_size=8)))
+        for _ in range(draw(st.integers(1, 4))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(densities=_density_tuples(), u_hat=_states())
+def test_plan_of_several_densities_matches_each_alone(densities, u_hat):
+    values = DensityPlan(densities).evaluate(u_hat)
+    assert len(values) == len(densities)
+    for density, got in zip(densities, values):
+        want, scale = _naive_density(u_hat, density)
+        assert abs(got - want) <= 1e-12 * scale
+        assert got.term_scale == pytest.approx(
+            evaluate_density(u_hat, density).term_scale, rel=1e-12, abs=0)
+        assert got.term_scale <= scale * (1 + 1e-12)
+
+
 def test_imaginary_residue_is_measured_against_the_term_scale():
     u = random_state(32, seed=8, r_h1=3.0)
     sextic = Density.monomial((0, 0, 0), (0, 0, 0))
@@ -296,9 +321,24 @@ def test_imaginary_residue_is_measured_against_the_term_scale():
     # an imaginary part delta of the |u|^6 coefficient adds delta * sextic_value
     group = compile_density(density).groups[0]
     for share, raises in ((0.1, False), (10.0, True)):
-        group.coeffs[0] = 1 / 3 + 1j * share * 1e-9 * scale / sextic_value
+        group.coeffs[0, 0] = 1 / 3 + 1j * share * 1e-9 * scale / sextic_value
         if raises:
             with pytest.raises(ArithmeticError):
                 evaluate_real(u, density)
         else:
             evaluate_real(u, density)
+
+
+def test_each_value_of_a_plan_is_checked_against_its_own_term_scale():
+    u = random_state(32, seed=8, r_h1=3.0)
+    sextic = Density.monomial((0, 0, 0), (0, 0, 0))
+    large = Density.monomial((4,), (4,)) * 10 ** 6 + sextic
+    plan = DensityPlan((large, sextic))
+    large_scale, scale = (v.term_scale for v in plan.evaluate(u))
+    assert large_scale > 1e6 * scale
+    # a residue far below the large density's terms, far above the sextic's
+    plan.groups[0].coeffs[1, 0] = 1 + 1j * 1e-7 * scale / evaluate_real(u, sextic)
+    with pytest.raises(ArithmeticError):
+        plan.evaluate_real(u)
+    with pytest.raises(ValueError):
+        DensityPlan((large, Density.monomial((1,), (0,)))).evaluate_real(u)

@@ -95,7 +95,10 @@ class Monomial:
             yield Factor(o, True)
 
     def conjugate(self) -> "Monomial":
-        return Monomial(self.c_orders, self.u_orders)
+        # both blocks are already canonical: swap them without the checks
+        m = object.__new__(Monomial)
+        _set_orders(m, self.c_orders, self.u_orders)
+        return m
 
     def sort_key(self):
         return self._key

@@ -40,6 +40,11 @@ def test_monomial_conjugate_swaps_blocks():
     m = Monomial((2, 0), (1,))
     assert m.conjugate() == Monomial((1,), (2, 0))
     assert m.conjugate().conjugate() == m
+    # the unchecked swap carries the hash and sort key of a checked build
+    for a in (m, Monomial((), (3, 3, 1)), Monomial((), ())):
+        b = Monomial(a.c_orders, a.u_orders)
+        assert hash(a.conjugate()) == hash(b)
+        assert a.conjugate().sort_key() == b.sort_key()
 
 
 def test_density_linear_structure():

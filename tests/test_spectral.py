@@ -12,10 +12,11 @@ from nlsenergy.energy import quadratic_density, solve_energy
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import ibp_generators
 from nlsenergy.spectral import (BlowupError, DensityPlan, SolverConfig,
-                                compile_density, energy_value, evaluate_density,
-                                evaluate_real, evolve, hamiltonian, l2_norm,
-                                momentum, plane_wave, plane_wave_solution,
-                                random_state, sobolev_norm, wavenumbers)
+                                _pocketfft, compile_density, energy_value,
+                                evaluate_density, evaluate_real, evolve,
+                                hamiltonian, l2_norm, momentum, plane_wave,
+                                plane_wave_solution, random_state, sobolev_norm,
+                                wavenumbers)
 
 
 class _AliasingGrid(ValueError):
@@ -236,6 +237,56 @@ def test_evolve_leaves_its_input_alone_and_repeats_exactly():
     assert np.array_equal(u, kept)
     assert np.array_equal(evolve(u, config, 25), first)
     assert evolve(u, config, 0) is u
+
+
+def test_evolve_rejects_a_state_of_the_wrong_shape():
+    config = SolverConfig(n_modes=64, dt=1e-3)
+    for u in (random_state(32, seed=1), np.zeros((2, 64), dtype=complex)):
+        for n_steps in (0, 5):
+            with pytest.raises(ValueError, match="does not match n_modes"):
+                evolve(u, config, n_steps)
+
+
+def test_evolve_rejects_a_step_count_that_is_not_an_int():
+    config = SolverConfig(n_modes=32, dt=1e-3)
+    u = random_state(32, seed=2)
+    for n_steps in (1.0, 2.5, True, False, "3", None):
+        with pytest.raises(ValueError, match="n_steps"):
+            evolve(u, config, n_steps)
+    assert np.array_equal(evolve(u, config, np.int64(3)), evolve(u, config, 3))
+
+
+@pytest.mark.parametrize("m", [24, 192, 256, 1024])
+def test_the_fft_gufuncs_are_what_the_numpy_wrappers_run(m):
+    # the stepper and the plans call the gufuncs directly; pin them bit for
+    # bit to the numpy.fft calls they replace
+    pocketfft = _pocketfft()
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    out = np.empty(m, dtype=complex)
+    pocketfft.ifft(x, 1.0, out)
+    assert out.tobytes() == np.fft.ifft(x, norm="forward").tobytes()
+    pocketfft.fft(x, 1.0, out)
+    assert out.tobytes() == np.fft.fft(x).tobytes()
+    rows = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    out = np.empty((3, m), dtype=complex)
+    pocketfft.ifft(rows, 1 / m, out)
+    assert out.tobytes() == np.fft.ifft(rows, axis=1).tobytes()
+
+
+def test_a_plan_evaluated_at_alternating_sizes_matches_fresh_plans():
+    # group monomials of two factor counts and pair monomials, so that both
+    # per-size caches are used
+    energy = solve_energy(4, 2)
+    densities = (energy.exact_derivative, energy.energy_density())
+    plan = DensityPlan(densities)
+    assert len(plan.groups) == 2 and plan.pair_orders
+    for n_modes in (64, 32, 64):
+        u = random_state(n_modes, seed=n_modes)
+        got = plan.evaluate(u)
+        want = DensityPlan(densities).evaluate(u)
+        assert [complex(v) for v in got] == [complex(v) for v in want]
+        assert [v.term_scale for v in got] == [v.term_scale for v in want]
 
 
 def test_plan_matches_naive_evaluator_on_a_solved_energy():

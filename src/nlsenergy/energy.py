@@ -218,8 +218,8 @@ def _nonlinear_reducer(k: int, p: int) -> SectorReducer:
 
 # only documents whose F_k is a rewrite of the catalogue combination need
 # this echelon, and a process validates them one (k, p) at a time; keeping
-# one bounds memory (all of them together hold about 20 MB on the
-# k 2..8 x p {2,3} grid plus (12,2) and (12,4))
+# one bounds memory (all of them together hold about 15 MB of peak RSS on
+# the k 2..8 x p {2,3} grid plus (12,2) and (12,4))
 @functools.lru_cache(maxsize=1)
 def _correction_ibp_reducer(k: int, p: int) -> SectorReducer:
     """Echelon of the correction sector (p+1, p+1, 2k-2) with no allowed

@@ -10,16 +10,17 @@ combination of sector monomials.
 Equivalence of densities modulo IBP plus a class of *allowed* monomials is
 decided by exact linear algebra: the allowed class is a predicate on
 monomials (in practice membership in one :class:`MonomialClass`, see
-:func:`classify`), its coordinates are projected away, the generators are
-put in echelon form over the remaining coordinates with a fixed monomial
-order, and membership is read off the unique remainder.  No directed
-rewriting is involved, so the residual does not depend on the order in
-which generators are supplied.
+:func:`classify`), the generators are put in echelon form over the other
+coordinates with a fixed monomial order, and membership is read off the
+unique remainder.  Each echelon row carries its allowed coordinates along,
+so the same elimination that yields the remainder also yields the allowed
+part of the expression.  No directed rewriting is involved, so the
+residual does not depend on the order in which generators are supplied.
 
 A generator whose Leibniz terms are all allowed projects to an empty row
 and never enters the echelon, so callers that know which products
 differentiate into allowed terms only leave those generators out; the
-cached reducers of :mod:`nlsenergy.energy` hold only the generators that
+cached reducers of :mod:`nlsenergy.energy` build only the generators that
 survive projection.  Where the products to leave out are those with too
 many derivative-bearing factors (the quartic remainder of the dispersive
 sector), the walk itself is capped (`max_derivative_factors` of
@@ -162,22 +163,24 @@ def classify(m: Monomial, k: int, p: int) -> MonomialClass:
 
 @dataclass
 class ReductionResult:
-    """expr == sum(coeff * generator) + allowed_part + residual, exactly."""
+    """expr - allowed_part - residual lies in the reducer's span, exactly."""
 
     residual: Density
-    generator_coefficients: dict[int, GaussianRational]
     allowed_part: Density
-
-    def recombine(self, generators: Sequence[Density]) -> Density:
-        """Re-expand the certificate; equals the reduced expression."""
-        acc = self.allowed_part + self.residual
-        for idx, c in self.generator_coefficients.items():
-            acc = acc + generators[idx] * c
-        return acc
 
 
 def _nothing_allowed(m: Monomial) -> bool:
     return False
+
+
+def _subtract(acc: dict, factor: GaussianRational, row: dict):
+    """acc -= factor * row, dropping the coordinates that cancel."""
+    for m, c in row.items():
+        cur = acc.get(m, _ZERO) - factor * c
+        if cur:
+            acc[m] = cur
+        else:
+            acc.pop(m, None)
 
 
 class SectorReducer:
@@ -185,58 +188,63 @@ class SectorReducer:
 
     `allowed` is a predicate on monomials, typically membership in one
     :class:`MonomialClass`; the monomials it accepts are coordinates that
-    membership testing may use freely.  They are projected out of the
-    elimination and collected into the `allowed_part` of each result, so a
-    generator with only allowed terms adds nothing to the echelon and may
-    be left out of `generators`.  Pivoting is deterministic: the largest
-    monomial in canonical order is eliminated first.
+    membership testing may use freely.  They take no part in pivoting: each
+    echelon row keeps them beside its normalized row over the eliminated
+    coordinates, and a reduction subtracts both as it eliminates, so the
+    `allowed_part` of each result is what the elimination leaves on the
+    allowed coordinates.  A generator with only allowed terms adds nothing
+    to the echelon and may be left out.  The generators themselves are not
+    kept.  Pivoting is deterministic: the largest monomial in canonical
+    order is eliminated first.
     """
 
     def __init__(self, generators: Sequence[Density],
                  allowed: Callable[[Monomial], bool] | None = None):
-        self.generators = list(generators)
         self.allowed = _nothing_allowed if allowed is None else allowed
         sigs: set[Signature] = set()
-        for g in self.generators:
+        for g in generators:
             sigs |= g.signatures()
         if len(sigs) > 1:
             raise SignatureMismatchError(f"mixed signatures in sector inputs: {sorted(sigs)}")
         self.signature = next(iter(sigs)) if sigs else None
-        # pivot monomial -> (normalized row, generator combination)
+        # pivot monomial -> (normalized row, its allowed coordinates)
         self._rows: dict[Monomial, tuple[dict, dict]] = {}
-        for idx, g in enumerate(self.generators):
-            row = {m: c for m, c in g.terms() if not self.allowed(m)}
-            self._insert(row, {idx: GaussianRational(1)})
+        for g in generators:
+            row, alw = self._split(g)
+            pivot = next(self._eliminate(row, alw), None)
+            if pivot is not None:
+                inv = GaussianRational(1) / row[pivot]
+                self._rows[pivot] = ({m: c * inv for m, c in row.items()},
+                                     {m: c * inv for m, c in alw.items()})
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _insert(self, row: dict, combo: dict):
+    def _split(self, d: Density) -> tuple[dict, dict]:
+        """The terms of `d` on the eliminated and on the allowed coordinates."""
+        allowed = self.allowed
+        row: dict[Monomial, GaussianRational] = {}
+        alw: dict[Monomial, GaussianRational] = {}
+        for m, c in d.terms():
+            (alw if allowed(m) else row)[m] = c
+        return row, alw
+
+    def _eliminate(self, row: dict, alw: dict):
+        """Subtract echelon rows from `row`, and their allowed coordinates
+        from `alw`, largest pivot first; yield each leading monomial of
+        `row` that is no pivot.  The caller pops it from `row` to go on."""
+        rows = self._rows
         while row:
             pivot = max(row, key=Monomial.sort_key)
-            hit = self._rows.get(pivot)
+            hit = rows.get(pivot)
             if hit is None:
-                inv = GaussianRational(1) / row[pivot]
-                self._rows[pivot] = (
-                    {m: c * inv for m, c in row.items()},
-                    {i: c * inv for i, c in combo.items()},
-                )
-                return
-            erow, ecombo = hit
+                yield pivot
+                continue
+            erow, ealw = hit
             factor = row[pivot]
-            for m, c in erow.items():
-                cur = row.get(m, _ZERO) - factor * c
-                if cur:
-                    row[m] = cur
-                else:
-                    row.pop(m, None)
-            for i, c in ecombo.items():
-                cur = combo.get(i, _ZERO) - factor * c
-                if cur:
-                    combo[i] = cur
-                else:
-                    combo.pop(i, None)
+            _subtract(row, factor, erow)
+            _subtract(alw, factor, ealw)
 
     def reduce(self, expr: Density) -> ReductionResult:
         if self.signature is not None:
@@ -244,51 +252,9 @@ class SectorReducer:
             if bad:
                 raise SignatureMismatchError(
                     f"expression signatures {sorted(bad)} outside sector {self.signature}")
-        allowed = self.allowed
-        row: dict[Monomial, GaussianRational] = {}
-        direct_allowed: dict[Monomial, GaussianRational] = {}
-        for m, c in expr.terms():
-            (direct_allowed if allowed(m) else row)[m] = c
-        acc: dict[int, GaussianRational] = {}
-        residual: dict[Monomial, GaussianRational] = {}
-        while row:
-            pivot = max(row, key=Monomial.sort_key)
-            hit = self._rows.get(pivot)
-            if hit is None:
-                residual[pivot] = row.pop(pivot)
-                continue
-            erow, ecombo = hit
-            factor = row[pivot]
-            for m, c in erow.items():
-                cur = row.get(m, _ZERO) - factor * c
-                if cur:
-                    row[m] = cur
-                else:
-                    row.pop(m, None)
-            for i, c in ecombo.items():
-                cur = acc.get(i, _ZERO) + factor * c
-                if cur:
-                    acc[i] = cur
-                else:
-                    acc.pop(i, None)
-        # allowed part of expr - sum(coeff * generator)
-        if acc:
-            lift: dict[Monomial, GaussianRational] = {}
-            for i, c in acc.items():
-                for m, gc in self.generators[i].terms():
-                    if allowed(m):
-                        cur = lift.get(m, _ZERO) + c * gc
-                        if cur:
-                            lift[m] = cur
-                        else:
-                            lift.pop(m, None)
-            for m, c in lift.items():
-                cur = direct_allowed.get(m, _ZERO) - c
-                if cur:
-                    direct_allowed[m] = cur
-                else:
-                    direct_allowed.pop(m, None)
-        return ReductionResult(Density(residual), acc, Density(direct_allowed))
+        row, alw = self._split(expr)
+        residual = {pivot: row.pop(pivot) for pivot in self._eliminate(row, alw)}
+        return ReductionResult(Density(residual), Density(alw))
 
 
 _ZERO = GaussianRational(0)

@@ -126,15 +126,17 @@ def evolve(u_hat: np.ndarray, config: SolverConfig, n_steps: int) -> np.ndarray:
     Merging the half-steps halves the rounding work of repeated single
     steps, which measurably improves conservation over long runs.
     Raises ValueError for a state of the wrong shape or a step count
-    that is not an int, and BlowupError if the result is not finite.
+    that is not a non-negative int, and BlowupError if the result is
+    not finite.
     """
     # a bool is an int to Python, but never a step count
-    if not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool):
-        raise ValueError(f"n_steps must be an int, got {n_steps!r}")
+    if (not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool)
+            or n_steps < 0):
+        raise ValueError(f"n_steps must be a non-negative int, got {n_steps!r}")
     if np.shape(u_hat) != (config.n_modes,):
         raise ValueError(f"state of shape {np.shape(u_hat)} does not match "
                          f"n_modes={config.n_modes}")
-    if n_steps <= 0:
+    if n_steps == 0:
         return u_hat
     m = config.padding_factor * config.n_modes
     n = wavenumbers(config.n_modes)
@@ -389,12 +391,9 @@ class DensityPlan:
         """The values of conjugation-fixed functionals; the imaginary part
         of each is pure floating-point residue and must sit far below the
         size of the terms summed for that value."""
-        self._require_real()
-        return tuple(_real_part(v) for v in self.evaluate(u_hat))
-
-    def _require_real(self):
         if not self.is_real_valued:
             raise ValueError("density is not conjugation-fixed; use evaluate_density")
+        return tuple(_real_part(v) for v in self.evaluate(u_hat))
 
 
 def _real_part(v: DensityValue) -> float:
@@ -427,8 +426,7 @@ def evaluate_density(u_hat: np.ndarray, density: Density) -> DensityValue:
 
 def evaluate_real(u_hat: np.ndarray, density: Density) -> float:
     """Value of a conjugation-fixed functional; see DensityPlan.evaluate_real."""
-    compile_density(density)._require_real()
-    return _real_part(evaluate_density(u_hat, density))
+    return compile_density(density).evaluate_real(u_hat)[0]
 
 
 def hamiltonian(u_hat: np.ndarray, p: int) -> float:

@@ -15,6 +15,7 @@ from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer,
                                  SignatureMismatchError, classify,
                                  enumerate_monomials, ibp_generators)
+from nlsenergy.spectral import evaluate_density, random_state
 
 
 def _brute_monomials(signature, max_order):
@@ -94,18 +95,39 @@ def test_classification_precedence():
     assert classify(high, k, p) is MonomialClass.UNCLASSIFIED
 
 
-def test_reduction_certificate_recombines_exactly():
+@functools.lru_cache(maxsize=None)
+def _ibp_span(signature):
+    """Echelon of the full, unpruned IBP span of a sector, nothing allowed."""
+    return SectorReducer(ibp_generators(signature, signature[2]))
+
+
+def _assert_integrates_by_parts_to_zero(expr, res):
+    """expr - allowed_part - residual lies in the full IBP span of its
+    sector, and so integrates to zero at any state, up to rounding."""
+    rest = expr - res.allowed_part - res.residual
+    for sig in rest.signatures():
+        assert _ibp_span(sig).reduce(rest).residual.is_zero
+    for seed in range(3):
+        value = evaluate_density(random_state(16, seed), rest)
+        assert abs(value) <= 1e-12 * value.term_scale
+
+
+@pytest.mark.parametrize("allowed", [
+    None, lambda m: m.derivative_factor_count >= 3, lambda m: m.max_order <= 2,
+], ids=["nothing", "three_derivative_factors", "orders_at_most_two"])
+def test_reduction_leaves_a_total_derivative(allowed):
     sig = (2, 2, 6)
-    gens = ibp_generators(sig, 6)
     expr = Density.monomial((3, 2), (1, 0)) \
         + Density.monomial((2, 2), (2, 0)) * GaussianRational(0, 1) \
-        - Density.monomial((4, 1), (1, 0)) * Fraction(5, 3)
-    red = SectorReducer(gens)
-    res = red.reduce(expr)
-    rebuilt = res.residual
-    for idx, coeff in res.generator_coefficients.items():
-        rebuilt = rebuilt + gens[idx] * coeff
-    assert rebuilt == expr
+        - Density.monomial((4, 1), (1, 0)) * Fraction(5, 3) \
+        + Density.monomial((2, 1), (2, 1)) * Fraction(2, 7)
+    res = SectorReducer(ibp_generators(sig, 6), allowed).reduce(expr)
+    assert res.residual != expr
+    if allowed is not None:
+        assert not res.allowed_part.is_zero
+        assert all(allowed(m) for m in res.allowed_part.monomials())
+        assert not any(allowed(m) for m in res.residual.monomials())
+    _assert_integrates_by_parts_to_zero(expr, res)
 
 
 def test_residual_is_independent_of_generator_order():
@@ -140,7 +162,7 @@ def test_mixed_signature_input_rejected():
         red.reduce(bad)
 
 
-# -- the cached reducers hold only the generators that survive projection ----
+# -- the cached reducers build only the generators that survive projection ---
 
 _CACHED = {
     # name: (cached reducer, sector, allowed class)
@@ -171,12 +193,21 @@ def _sector_monomials(name, k, p):
 
 
 @pytest.mark.parametrize("name,k,p", _GRID)
-def test_cached_reducers_keep_exactly_the_generators_that_survive_projection(name, k, p):
+def test_cached_reducers_keep_exactly_the_generators_that_survive_projection(
+        name, k, p, monkeypatch):
+    built = []
+
+    def recording_reducer(generators, allowed=None):
+        built.append(list(generators))
+        return SectorReducer(built[-1], allowed)
+
+    monkeypatch.setattr(energy_module, "SectorReducer", recording_reducer)
+    pruned = _CACHED[name][0].__wrapped__(k, p)
     allowed = _allowed(name, k, p)
-    surviving = [g for g in _full_span_reducer(name, k, p).generators
+    sector = _CACHED[name][1](k, p)
+    surviving = [g for g in ibp_generators(sector, sector[2])
                  if not all(allowed(m) for m in g.monomials())]
-    pruned = _CACHED[name][0](k, p)
-    assert pruned.generators == surviving
+    assert built == [surviving]
     assert pruned.rank == _full_span_reducer(name, k, p).rank
 
 
@@ -204,4 +235,4 @@ def test_pruned_reducers_match_the_full_span(case):
     assert got.residual == want.residual
     assert got.allowed_part == want.allowed_part
     assert pruned.rank == full.rank
-    assert got.recombine(pruned.generators) == expr
+    _assert_integrates_by_parts_to_zero(expr, got)

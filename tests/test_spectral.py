@@ -250,10 +250,11 @@ def test_evolve_rejects_a_state_of_the_wrong_shape():
 def test_evolve_rejects_a_step_count_that_is_not_an_int():
     config = SolverConfig(n_modes=32, dt=1e-3)
     u = random_state(32, seed=2)
-    for n_steps in (1.0, 2.5, True, False, "3", None):
+    for n_steps in (1.0, 2.5, True, False, "3", None, -1, np.int64(-1)):
         with pytest.raises(ValueError, match="n_steps"):
             evolve(u, config, n_steps)
     assert np.array_equal(evolve(u, config, np.int64(3)), evolve(u, config, 3))
+    assert evolve(u, config, 0) is u
 
 
 @pytest.mark.parametrize("m", [24, 192, 256, 1024])

@@ -28,10 +28,9 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .rational import _ZERO, GaussianRational, _gr
+from .rational import ZERO, GaussianRational, _make, _reduced
 
 
 class Factor(NamedTuple):
@@ -176,7 +175,7 @@ class Density:
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
 
     def coefficient(self, m: Monomial) -> GaussianRational:
-        return self._terms.get(m, GaussianRational(0))
+        return self._terms.get(m, ZERO)
 
     def monomials(self):
         return self._terms.keys()
@@ -263,8 +262,9 @@ def dt_linear(e: Density) -> Density:
     """
     acc: dict[Monomial, GaussianRational] = {}
     for m, c in e._terms.items():
-        times_i = _gr(-c.im, c.re)
-        times_minus_i = _gr(c.im, -c.re)
+        # times +-i swaps the numerators, which keeps the form canonical
+        times_i = _make(-c._im, c._re, c._den)
+        times_minus_i = _make(c._im, -c._re, c._den)
         for idx in range(len(m.u_orders)):
             _add_term(acc, _monomial(_bump(m.u_orders, idx, 2), m.c_orders), times_i)
         for idx in range(len(m.c_orders)):
@@ -337,13 +337,14 @@ def dt_nonlinear(e: Density, p: int) -> Density:
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"nonlinearity exponent p must be an int >= 2, got {p!r}")
     # i w (x + iy) = -w y + i w x: over the common denominator of every
-    # coefficient part, both parts are integer sums of w times a numerator
-    denom = math.lcm(*(q.denominator for c in e._terms.values() for q in (c.re, c.im)))
+    # coefficient, both parts are integer sums of w times a numerator
+    denom = math.lcm(*(c._den for c in e._terms.values()))
     re_acc: dict[Monomial, int] = {}
     im_acc: dict[Monomial, int] = {}
     for m, c in e._terms.items():
-        x = c.re.numerator * (denom // c.re.denominator)
-        y = c.im.numerator * (denom // c.im.denominator)
+        scale = denom // c._den
+        x = c._re * scale
+        y = c._im * scale
         for key, w in _nonlinear_weights(m, p).items():
             if not w:
                 continue
@@ -355,8 +356,7 @@ def dt_nonlinear(e: Density, p: int) -> Density:
     for key in re_acc.keys() | im_acc.keys():
         n_re, n_im = re_acc.get(key, 0), im_acc.get(key, 0)
         if n_re or n_im:
-            acc[key] = _gr(Fraction(n_re, denom) if n_re else _ZERO,
-                           Fraction(n_im, denom) if n_im else _ZERO)
+            acc[key] = _reduced(n_re, n_im, denom)
     return Density(acc)
 
 

@@ -3,11 +3,20 @@
 All symbolic computations in this package are linear algebra over the
 Gaussian rationals, so that every reduction and every solved coefficient
 is exact.  Floats only appear at the numerical evaluation boundary.
+
+A :class:`GaussianRational` (re + im*i) / den is held as three Python ints:
+the real numerator, the imaginary numerator and one common denominator.
+The form is canonical: den > 0, gcd(re, im, den) == 1, and zero is
+(0, 0, 1).  Equal values therefore have equal triples, so equality is a
+comparison of ints, and every operation works on the ints and normalises
+its result with one three-argument gcd.  `.re` and `.im` are views that
+build a `Fraction`; the arithmetic never does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 
 
@@ -19,17 +28,27 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational value, got {value!r}")
 
 
-_ZERO = Fraction(0)
+def _part_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class GaussianRational:
-    """Immutable a + b*i with a, b exact rationals."""
+    """Immutable (re + im*i) / den over ints, in canonical form."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        a, b = _as_fraction(re), _as_fraction(im)
+        # over the lcm of two reduced denominators the triple is canonical
+        den = lcm(a.denominator, b.denominator)
+        _set_re(self, a.numerator * (den // a.denominator))
+        _set_im(self, b.numerator * (den // b.denominator))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -38,98 +57,112 @@ class GaussianRational:
     def coerce(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return cls(_as_fraction(value))
+        q = _as_fraction(value)
+        return _make(q.numerator, 0, q.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
 
     # -- arithmetic ---------------------------------------------------------
-    # Parts are combined only where both are nonzero, so a real value times
-    # an imaginary one costs one product, not four.
 
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _gr(a + c if a and c else a or c, b + d if b and d else b or d)
+        d, e = self._den, other._den
+        if d == e:
+            return _reduced(self._re + other._re, self._im + other._im, d)
+        return _reduced(self._re * e + other._re * d, self._im * e + other._im * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _gr(a - c if a and c else a or -c, b - d if b and d else b or -d)
+        d, e = self._den, other._den
+        if d == e:
+            return _reduced(self._re - other._re, self._im - other._im, d)
+        return _reduced(self._re * e - other._re * d, self._im * e - other._im * d, d * e)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __neg__(self):
-        return _gr(-self.re, -self.im)
+        return _make(-self._re, -self._im, self._den)
 
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if a and b and c and d:
-            return _gr(a * c - b * d, a * d + b * c)
-        # with a zero part, each part of the product has at most one term
-        return _gr(a * c if a and c else -(b * d) if b and d else _ZERO,
-                   a * d if a and d else b * c if b and c else _ZERO)
+        a, b, c, d = self._re, self._im, other._re, other._im
+        return _reduced(a * c - b * d, a * d + b * c, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = GaussianRational.coerce(other)
-        if not other.re and not other.im:
+        a, b, c, d = self._re, self._im, other._re, other._im
+        norm = c * c + d * d
+        if not norm:
             raise ZeroDivisionError("division by zero GaussianRational")
-        norm = other.re * other.re + other.im * other.im
-        return self * _gr(other.re / norm, -other.im / norm)
+        # (a + bi)/m / ((c + di)/n) = n (a + bi)(c - di) / (m (c^2 + d^2))
+        n = other._den
+        return _reduced((a * c + b * d) * n, (b * c - a * d) * n, self._den * norm)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return _gr(self.re, -self.im)
+        return _make(self._re, -self._im, self._den)
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._re or self._im)
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self._im
 
     def __eq__(self, other):
         if other.__class__ is not GaussianRational:
             if not isinstance(other, (GaussianRational, Rational)):
                 return NotImplemented
             other = GaussianRational.coerce(other)
-        return self.re == other.re and self.im == other.im
+        return self._re == other._re and self._im == other._im and self._den == other._den
 
     def __hash__(self):
         # a real value equals its Fraction, so it hashes like one
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self._im:
+            return hash(Fraction(self._re, self._den))
+        return hash((self._re, self._im, self._den))
 
     # -- conversions --------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
         """Real part as a Fraction; raises if the value is not real."""
-        if self.im:
+        if self._im:
             raise ValueError(f"{self} is not real")
-        return self.re
+        return Fraction(self._re, self._den)
 
     def __complex__(self):
-        return complex(self.re, self.im)
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self._re / self._den, self._im / self._den)
 
     def to_text(self) -> str:
-        """Canonical text form: 'a/b', 'c/d*i' or '(a/b+c/d*i)'."""
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        """Canonical text form: 'a/b', 'c/d*i' or '(a/b+c/d*i)', each part
+        as `str` of its Fraction."""
+        a, b, d = self._re, self._im, self._den
+        # a part alone is already in lowest terms over den
+        if not b:
+            return str(a) if d == 1 else f"{a}/{d}"
+        if not a:
+            return f"{b}*i" if d == 1 else f"{b}/{d}*i"
+        sign = "+" if b > 0 else "-"
+        return f"({_part_text(a, d)}{sign}{_part_text(abs(b), d)}*i)"
 
     @classmethod
     def from_text(cls, text: str) -> "GaussianRational":
@@ -155,12 +188,34 @@ class GaussianRational:
         return self.to_text()
 
 
-def _gr(re: Fraction, im: Fraction) -> GaussianRational:
-    """Internal constructor for parts that are already Fractions: skips the
-    coercion and type checks of `GaussianRational(re, im)`."""
-    z = object.__new__(GaussianRational)
-    object.__setattr__(z, "re", re)
-    object.__setattr__(z, "im", im)
+_set_re = GaussianRational._re.__set__
+_set_im = GaussianRational._im.__set__
+_set_den = GaussianRational._den.__set__
+_new = object.__new__
+
+
+def _make(re: int, im: int, den: int) -> GaussianRational:
+    """Internal constructor for a triple already in canonical form: skips
+    the coercion of `GaussianRational(re, im)` and the gcd."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    _set_den(z, den)
+    return z
+
+
+def _reduced(re: int, im: int, den: int) -> GaussianRational:
+    """Internal constructor for any triple with den > 0: divides out
+    gcd(re, im, den), which also maps every zero to (0, 0, 1)."""
+    g = gcd(re, im, den)
+    if g != 1:
+        re //= g
+        im //= g
+        den //= g
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    _set_den(z, den)
     return z
 
 

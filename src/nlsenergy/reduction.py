@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra import Density, Monomial, _monomial
-from .rational import GaussianRational
+from .rational import GaussianRational, _reduced
 
 Signature = tuple[int, int, int]
 
@@ -174,13 +174,30 @@ def _nothing_allowed(m: Monomial) -> bool:
 
 
 def _subtract(acc: dict, factor: GaussianRational, row: dict):
-    """acc -= factor * row, dropping the coordinates that cancel."""
+    """acc -= factor * row, dropping the coordinates that cancel.
+
+    Works on the integer triples of the coefficients: each coordinate costs
+    one normalising gcd, and no intermediate product is built.
+    """
+    fa, fb, fd = factor._re, factor._im, factor._den
     for m, c in row.items():
-        cur = acc.get(m, _ZERO) - factor * c
-        if cur:
-            acc[m] = cur
+        ca, cb, cd = c._re, c._im, c._den
+        # factor * c = (pa + pb i) / pd
+        pa, pb, pd = fa * ca - fb * cb, fa * cb + fb * ca, fd * cd
+        cur = acc.get(m)
+        if cur is None:
+            # a product of two nonzero values is nonzero
+            acc[m] = _reduced(-pa, -pb, pd)
+            continue
+        d = cur._den
+        if d == pd:
+            a, b = cur._re - pa, cur._im - pb
         else:
-            acc.pop(m, None)
+            a, b, d = cur._re * pd - pa * d, cur._im * pd - pb * d, d * pd
+        if a or b:
+            acc[m] = _reduced(a, b, d)
+        else:
+            del acc[m]
 
 
 class SectorReducer:
@@ -256,5 +273,3 @@ class SectorReducer:
         residual = {pivot: row.pop(pivot) for pivot in self._eliminate(row, alw)}
         return ReductionResult(Density(residual), Density(alw))
 
-
-_ZERO = GaussianRational(0)

@@ -6,11 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlsenergy
 from nlsenergy import energy as energy_module
 from nlsenergy.algebra import (Density, Monomial, density_from_text,
-                               density_to_text, dt_linear)
+                               density_to_text, dt_linear, dt_nonlinear)
 from nlsenergy.energy import (EnergyDocumentError, Family,
                               InfeasibleSystemError, _assemble,
                               basic_density, build_catalogue,
@@ -22,7 +24,7 @@ from nlsenergy.energy import (EnergyDocumentError, Family,
                               verify_exact_conservation, verify_identities)
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer, classify,
-                                 ibp_generators)
+                                 enumerate_monomials, ibp_generators)
 
 DATA = Path(__file__).parent / "data"
 
@@ -171,6 +173,30 @@ def test_residuals_stay_in_their_classes(k, p):
     assert energy.residual_quartic.is_real_valued
     assert energy.residual_nonlinear.is_real_valued
     assert energy.exact_derivative.is_real_valued
+
+
+@st.composite
+def _correction_class_densities(draw):
+    k, p = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    # every order at most k-1 in the correction sector: the correction class
+    monomials = enumerate_monomials((p + 1, p + 1, 2 * k - 2), k - 1)
+    parts = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    picks = draw(st.lists(st.tuples(st.sampled_from(monomials),
+                                    st.builds(GaussianRational, parts, parts)),
+                          min_size=1, max_size=6))
+    return k, p, Density.from_terms(picks)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_correction_class_densities())
+def test_power_image_of_a_correction_lies_in_the_nonlinear_remainder_class(case):
+    # _assemble takes dt_nonlinear(F) as residual_nonlinear without reducing
+    # it, because F passed the correction-class guard; this is that implication
+    k, p, correction = case
+    assert all(classify(m, k, p) is MonomialClass.CORRECTION
+               for m in correction.monomials())
+    for m in dt_nonlinear(correction, p).monomials():
+        assert classify(m, k, p) is MonomialClass.NONLINEAR_REMAINDER, m
 
 
 @pytest.mark.parametrize("k,p", [(2, 2), (3, 2)])
@@ -461,7 +487,7 @@ def _solve_uncached(k, p):
 
 
 def test_reverse_order_leftover_raises(monkeypatch):
-    _patched_solver(monkeypatch, second_call=lambda s, left: (s, [([Fraction(0)], 1)]))
+    _patched_solver(monkeypatch, second_call=lambda s, left: (s, [[0, 1]]))
     with pytest.raises(InfeasibleSystemError, match="reverse pivot order"):
         _solve_uncached(3, 2)
 

@@ -28,14 +28,8 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 from .rational import ZERO, GaussianRational, _make, _reduced
-
-
-class Factor(NamedTuple):
-    order: int
-    conjugated: bool
 
 
 def _canonical(orders) -> tuple[int, ...]:
@@ -87,12 +81,6 @@ class Monomial:
         return (len(self.u_orders) + len(self.c_orders)
                 - self.u_orders.count(0) - self.c_orders.count(0))
 
-    def factors(self) -> Iterator[Factor]:
-        for o in self.u_orders:
-            yield Factor(o, False)
-        for o in self.c_orders:
-            yield Factor(o, True)
-
     def conjugate(self) -> "Monomial":
         # both blocks are already canonical: swap them without the checks
         m = object.__new__(Monomial)
@@ -141,16 +129,16 @@ def _add_term(acc: dict, m: Monomial, c: GaussianRational):
 class Density:
     """Linear combination of density monomials over the Gaussian rationals.
 
-    A density never changes after construction, so derived data can be kept
-    on it: `_plan` holds its numerical evaluation plan once
-    :func:`nlsenergy.spectral.compile_density` has built it.
+    A density is a pure symbolic value: it never changes after
+    construction and carries nothing but its terms.  Numerical evaluation
+    compiles densities into a :class:`nlsenergy.spectral.DensityPlan`,
+    which the caller holds.
     """
 
-    __slots__ = ("_terms", "_plan")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Monomial, GaussianRational] | None = None):
         self._terms = dict(terms) if terms else {}
-        self._plan = None
 
     @classmethod
     def zero(cls) -> "Density":

@@ -22,7 +22,7 @@ import enum
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -165,7 +165,6 @@ def mass_density() -> Density:
     return Density.monomial((0,), (0,))
 
 
-@functools.lru_cache(maxsize=None)
 def hamiltonian_density(p: int) -> Density:
     return (Density.monomial((1,), (1,))
             + Density.monomial((0,) * (p + 1), (0,) * (p + 1)) * Fraction(1, p + 1))
@@ -179,7 +178,6 @@ def cubic_monomial(k: int, p: int) -> Monomial:
     return Monomial(_orders(2 * m, 2 * m, 2 * m, pad=p - 2), _orders(pad=p + 1))
 
 
-@functools.lru_cache(maxsize=None)
 def cubic_density(k: int, p: int) -> Density:
     return Density({cubic_monomial(k, p): GaussianRational(1)}).im_part()
 
@@ -249,25 +247,13 @@ class EnergyDefinition:
     residual_nonlinear: Density
     cubic_coefficient: Fraction
     exact_derivative: Density
-    # the evaluation plan of a record's functionals, kept here once
-    # :func:`nlsenergy.harness.record_plan` has built it
-    _record_plan: object = field(default=None, init=False, repr=False, compare=False)
 
-    # the two sums are built once per energy, so each density a run
-    # evaluates is compiled into one evaluation plan; the fields are never
-    # reassigned after construction
     def energy_density(self) -> Density:
-        return self._energy_density
-
-    def residual_density(self) -> Density:
-        return self._residual_density
-
-    @functools.cached_property
-    def _energy_density(self) -> Density:
+        """The modified energy E_k = quadratic + F."""
         return quadratic_density(self.k) + self.correction
 
-    @functools.cached_property
-    def _residual_density(self) -> Density:
+    def residual_density(self) -> Density:
+        """The decomposition of E_k's derivative, as one density."""
         total = self.residual_quartic + self.residual_nonlinear
         if self.cubic_coefficient:
             total = total + cubic_density(self.k, self.p) * self.cubic_coefficient
@@ -640,7 +626,8 @@ def save_energy(energy: EnergyDefinition, path) -> None:
 
 
 def import_energy(source) -> EnergyDefinition:
-    """Load and fully validate an energy document (dict, JSON text, or path).
+    """Load and fully validate an energy document (a dict, or the path of
+    a JSON file).
 
     Validation recomputes the exact derivative and the residual
     decomposition from the document's correction term and requires the
@@ -651,12 +638,7 @@ def import_energy(source) -> EnergyDefinition:
     included, raises EnergyDocumentError.
     """
     try:
-        if isinstance(source, dict):
-            doc = source
-        elif str(source).lstrip().startswith("{"):
-            doc = json.loads(str(source))
-        else:
-            doc = json.loads(Path(source).read_text())
+        doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
         version = doc["schema_version"]
         k, p = doc["k"], doc["p"]
         _check_kp(k, p)

@@ -15,6 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import __version__
 from .energy import (EnergyDefinition, cubic_density, energy_hash,
                      hamiltonian_density)
 from .spectral import (DensityPlan, SolverConfig, _check_mode, _check_modes,
-                       energy_value, evolve, l2_norm, plane_wave, random_state,
+                       evaluate_real, evolve, l2_norm, plane_wave, random_state,
                        sobolev_norm)
 
 CSV_COLUMNS = ("t", "l2", "h1", "hk", "hamiltonian", "E_k", "F_k",
@@ -90,49 +91,57 @@ def solver_config(config: RunConfig) -> SolverConfig:
     return SolverConfig(n_modes=config.n_modes, dt=config.dt, p=config.p)
 
 
+def hamiltonian(u_hat: np.ndarray, p: int) -> float:
+    """The conserved Hamiltonian at one state."""
+    return evaluate_real(u_hat, hamiltonian_density(p))
+
+
 # the functionals a record evaluates at its state, in the order of the
 # record plan; "cubic" is there only when the energy has a cubic term
 _RECORD_FUNCTIONALS = ("exact", "decomposition", "E_k", "F_k", "hamiltonian", "cubic")
 
 
-def record_plan(energy: EnergyDefinition) -> DensityPlan:
-    """One plan over every functional a record evaluates, compiled on first
-    use and then kept on the energy, whose densities never change."""
-    plan = energy._record_plan
-    if plan is None:
-        densities = (energy.exact_derivative, energy.residual_density(),
-                     energy.energy_density(), energy.correction,
-                     hamiltonian_density(energy.p))
-        if energy.cubic_coefficient:
-            densities += (cubic_density(energy.k, energy.p),)
-        plan = energy._record_plan = DensityPlan(densities)
-    return plan
+class RunPlans(NamedTuple):
+    """The plans a run compiles once and evaluates at every record: one
+    over every functional of a record, and one of E_k alone for the
+    finite-difference legs."""
+
+    record: DensityPlan
+    energy: DensityPlan
 
 
-def _evaluate_record(u_hat: np.ndarray, energy: EnergyDefinition) -> dict[str, float]:
-    """The record's functionals at one state, from one plan evaluation."""
-    return dict(zip(_RECORD_FUNCTIONALS, record_plan(energy).evaluate_real(u_hat)))
+def compile_plans(energy: EnergyDefinition) -> RunPlans:
+    e_k = energy.energy_density()
+    densities = (energy.exact_derivative, energy.residual_density(), e_k,
+                 energy.correction, hamiltonian_density(energy.p))
+    if energy.cubic_coefficient:
+        densities += (cubic_density(energy.k, energy.p),)
+    return RunPlans(DensityPlan(densities), DensityPlan((e_k,)))
+
+
+def _fd_derivative(u_hat: np.ndarray, energy_plan: DensityPlan, p: int,
+                   fd_delta: float, fd_substeps: int) -> float:
+    """Central finite difference of E_k along the flow: fd_substeps steps
+    of fd_delta/fd_substeps forward and backward from u_hat."""
+    dt_sub = fd_delta / fd_substeps
+    e_plus, e_minus = (
+        energy_plan.evaluate_real(
+            evolve(u_hat, SolverConfig(n_modes=len(u_hat), dt=dt, p=p), fd_substeps))[0]
+        for dt in (dt_sub, -dt_sub))
+    return (e_plus - e_minus) / (2 * fd_delta)
 
 
 def derivative_crosscheck(u_hat: np.ndarray, energy: EnergyDefinition,
-                          fd_delta: float = 2e-5, fd_substeps: int = 10,
-                          record: dict[str, float] | None = None) -> dict:
+                          fd_delta: float = 2e-5, fd_substeps: int = 10) -> dict:
     """Central finite difference of the energy along the flow vs the exact
     symbolic derivative, plus the decomposition identity, at one state.
 
-    The exact derivative and its decomposition are read from `record`,
-    the values of the record plan at u_hat, evaluated here unless the
-    caller (`observe`) already has them.
+    Compiles the plans a run would, so that a crosscheck of a run's state
+    reads the values of that run's record.
     """
-    if record is None:
-        record = _evaluate_record(u_hat, energy)
-    dt_sub = fd_delta / fd_substeps
-    fwd = SolverConfig(n_modes=len(u_hat), dt=dt_sub, p=energy.p)
-    bwd = SolverConfig(n_modes=len(u_hat), dt=-dt_sub, p=energy.p)
-    e_plus = energy_value(evolve(u_hat, fwd, fd_substeps), energy)
-    e_minus = energy_value(evolve(u_hat, bwd, fd_substeps), energy)
-    fd = (e_plus - e_minus) / (2 * fd_delta)
-    exact, residual = record["exact"], record["decomposition"]
+    plans = compile_plans(energy)
+    exact, residual = plans.record.evaluate_real(u_hat)[:2]
+    fd = _fd_derivative(u_hat, plans.energy, energy.p, fd_delta, fd_substeps)
     scale = max(abs(exact), abs(fd), 1e-30)
     return {
         "fd": fd,
@@ -144,12 +153,11 @@ def derivative_crosscheck(u_hat: np.ndarray, energy: EnergyDefinition,
 
 
 def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
-            config: RunConfig) -> dict:
+            config: RunConfig, plans: RunPlans) -> dict:
+    """One record at state u_hat, from the plans of `energy`."""
     k = energy.k
     hk = sobolev_norm(u_hat, k)
-    record = _evaluate_record(u_hat, energy)
-    cross = derivative_crosscheck(u_hat, energy, config.fd_delta, config.fd_substeps,
-                                  record)
+    record = dict(zip(_RECORD_FUNCTIONALS, plans.record.evaluate_real(u_hat)))
     f_val = record["F_k"]
     # growth-bound exponent 2(k-2)/(k-1); degenerates to 0 at k=2 so the
     # monitored quantity is then just |F| itself.  hk vanishes only at u = 0,
@@ -163,8 +171,9 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
         "hamiltonian": record["hamiltonian"],
         "E_k": record["E_k"],
         "F_k": f_val,
-        "dEk_fd": cross["fd"],
-        "dEk_exact": cross["exact"],
+        "dEk_fd": _fd_derivative(u_hat, plans.energy, energy.p, config.fd_delta,
+                                 config.fd_substeps),
+        "dEk_exact": record["exact"],
         "cubic_remainder": float(energy.cubic_coefficient) * record.get("cubic", 0.0),
         "bound_ratio": abs(f_val) / hk ** exponent if hk else 0.0,
     }
@@ -175,23 +184,25 @@ def run_experiment(config: RunConfig, energy: EnergyDefinition) -> list[dict]:
 
     Records at t=0, then every record_dt (rounded to whole steps), and at
     t_end.  The schedule depends only on the config, which is what makes
-    reports byte-reproducible.
+    reports byte-reproducible.  The run compiles its plans once, before
+    the first record.
     """
     if (energy.k, energy.p) != (config.k, config.p):
         raise ValueError(
             f"energy document is for (k={energy.k}, p={energy.p}), "
             f"config wants (k={config.k}, p={config.p})")
+    plans = compile_plans(energy)
     u_hat = initial_state(config)
     scfg = solver_config(config)
     total_steps = max(1, round(config.t_end / config.dt))
     per_record = max(1, round(config.record_dt / config.dt))
-    rows = [observe(u_hat, 0.0, energy, config)]
+    rows = [observe(u_hat, 0.0, energy, config, plans)]
     done = 0
     while done < total_steps:
         block = min(per_record, total_steps - done)
         u_hat = evolve(u_hat, scfg, block)
         done += block
-        rows.append(observe(u_hat, done * config.dt, energy, config))
+        rows.append(observe(u_hat, done * config.dt, energy, config, plans))
     return rows
 
 

@@ -27,9 +27,11 @@ the quadrature exact for the product's bandwidth, then gathers,
 multiplies and averages the factor grids of every monomial at once.  Pair
 monomials (one factor of each conjugation) instead sum an explicit
 per-mode symbol, which keeps the large cancellations between high-order
-terms exact in floating point.  :func:`compile_density` keeps the plan of
-one density on that density; the monitor keeps one plan over all the
-functionals of a record on the energy.
+terms exact in floating point.  A plan is an ordinary value and this
+module keeps none: a caller that evaluates the same densities at many
+states compiles their plan once and holds it, while
+:func:`evaluate_density` and :func:`evaluate_real` compile a one-density
+plan for a single evaluation.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Density, Monomial
-from .energy import EnergyDefinition, hamiltonian_density
 
 
 def _pocketfft():
@@ -70,13 +71,13 @@ def wavenumbers(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stepper parameters; padding_factor defaults to the dealiasing
-    minimum p+1 and may only be raised."""
+    """Stepper parameters.  The nonlinear rotation runs on the grid of
+    (p+1)*n_modes points, the dealiasing minimum for the degree-(2p+1)
+    power."""
 
     n_modes: int
     dt: float
     p: int = 2
-    padding_factor: int = 0
 
     def __post_init__(self):
         _check_modes(self.n_modes)
@@ -84,11 +85,6 @@ class SolverConfig:
             raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
         if not isinstance(self.p, int) or self.p < 2:
             raise ValueError(f"p must be an int >= 2, got {self.p!r}")
-        if self.padding_factor == 0:
-            object.__setattr__(self, "padding_factor", self.p + 1)
-        elif self.padding_factor < self.p + 1:
-            raise ValueError(
-                f"padding_factor {self.padding_factor} below dealiasing minimum {self.p + 1}")
 
 
 def _linear_phase(n: np.ndarray, dt: float) -> np.ndarray:
@@ -104,8 +100,8 @@ def _check_finite(u_hat: np.ndarray) -> np.ndarray:
 def evolve(u_hat: np.ndarray, config: SolverConfig, n_steps: int) -> np.ndarray:
     """n_steps of Strang splitting with interior half-steps merged.
 
-    The state stays on the padded spectrum of m = padding_factor*n_modes
-    slots for the whole call; the spectrum, the grid, the angle and the
+    The state stays on the padded spectrum of m = (p+1)*n_modes slots
+    for the whole call; the spectrum, the grid, the angle and the
     rotation are allocated once and every step writes into them.  A step
     takes the unnormalised inverse FFT to the grid, rotates each grid
     value g by exp(-i dt |g|^(2p)), with the angle built from |g|^2 by
@@ -138,7 +134,7 @@ def evolve(u_hat: np.ndarray, config: SolverConfig, n_steps: int) -> np.ndarray:
                          f"n_modes={config.n_modes}")
     if n_steps == 0:
         return u_hat
-    m = config.padding_factor * config.n_modes
+    m = (config.p + 1) * config.n_modes
     n = wavenumbers(config.n_modes)
     slots = n % m
     n = n.astype(float)
@@ -321,9 +317,7 @@ class DensityPlan:
     The distinct monomials of all the densities are grouped by factor
     count, except pair monomials (signature (1, 1, .)), which take the
     per-mode symbol path; each distinct monomial is evaluated once per
-    state, and each density keeps its own row of coefficients.  Build the
-    plan of a single density through :func:`compile_density`, which
-    compiles each density once.
+    state, and each density keeps its own row of coefficients.
     """
 
     def __init__(self, densities: tuple[Density, ...]):
@@ -404,34 +398,18 @@ def _real_part(v: DensityValue) -> float:
     return v.real
 
 
-def compile_density(density: Density) -> DensityPlan:
-    """The evaluation plan of a density, compiled on first use and then kept
-    on the density, which never changes after construction."""
-    plan = density._plan
-    if plan is None:
-        plan = density._plan = DensityPlan((density,))
-    return plan
-
-
 def evaluate_density(u_hat: np.ndarray, density: Density) -> DensityValue:
-    """Exact-quadrature value of an integrated density at a state.
+    """Exact-quadrature value of an integrated density at a state, from a
+    plan compiled for this one evaluation.
 
     Each factor-count group is averaged on its own exact grid, and pair
     monomials take the per-mode symbol path (exact cancellation between
     terms of one mode, which grid quadrature cannot guarantee in floating
     point).
     """
-    return compile_density(density).evaluate(u_hat)[0]
+    return DensityPlan((density,)).evaluate(u_hat)[0]
 
 
 def evaluate_real(u_hat: np.ndarray, density: Density) -> float:
     """Value of a conjugation-fixed functional; see DensityPlan.evaluate_real."""
-    return compile_density(density).evaluate_real(u_hat)[0]
-
-
-def hamiltonian(u_hat: np.ndarray, p: int) -> float:
-    return evaluate_real(u_hat, hamiltonian_density(p))
-
-
-def energy_value(u_hat: np.ndarray, energy: EnergyDefinition) -> float:
-    return evaluate_real(u_hat, energy.energy_density())
+    return DensityPlan((density,)).evaluate_real(u_hat)[0]

@@ -16,10 +16,11 @@ from nlsenergy.algebra import dt_linear
 from nlsenergy.energy import (Family, basic_density, correction_density,
                               cubic_density, dispersive_reducer, solve_energy,
                               verify_exact_conservation, verify_identities)
-from nlsenergy.harness import RunConfig, derivative_crosscheck, run_experiment
+from nlsenergy.harness import (RunConfig, derivative_crosscheck, hamiltonian,
+                               run_experiment)
 from nlsenergy.reduction import MonomialClass, classify
-from nlsenergy.spectral import (SolverConfig, evolve, hamiltonian, l2_norm,
-                                plane_wave, plane_wave_solution, random_state)
+from nlsenergy.spectral import (SolverConfig, evolve, l2_norm, plane_wave,
+                                plane_wave_solution, random_state)
 
 DATA = Path(__file__).parent / "data"
 

@@ -47,6 +47,17 @@ def test_verify_range_syntax():
     assert invoke("verify", "--k", "1", "--p", "2").exit_code == 1
 
 
+def test_an_energy_document_named_like_json_text_is_read_as_a_path(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_energy(solve_energy(5, 2), "{run}.json")
+    assert import_energy("{run}.json") == solve_energy(5, 2)
+    result = invoke("simulate", "--k", "5", "--p", "2", "--energy", "{run}.json",
+                    *FAST, "--out", "r.csv")
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "r.csv").exists()
+
+
 def test_simulate_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

@@ -216,12 +216,30 @@ def test_random_state_is_reproducible():
     assert np.all(a[np.abs(n) > 8] == 0)
 
 
+def _full_band_state(n_modes, seed):
+    """Random-phase data with |u_hat(n)| = (1+|n|)^-3 on every retained
+    mode, the Nyquist mode -N/2 included, at unit first-order norm;
+    random_state fills only |n| <= N/4."""
+    rng = np.random.default_rng(seed)
+    n = wavenumbers(n_modes)
+    u = (1.0 + np.abs(n)) ** -3.0 * np.exp(2j * np.pi * rng.random(n_modes))
+    return u / sobolev_norm(u, 1)
+
+
 @pytest.mark.parametrize("n_modes", [32, 64, 256])
 @pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("band", ["quarter", "full"])
 @pytest.mark.parametrize("dt", [1e-3, -1e-3])
-def test_evolve_matches_the_naive_stepper(n_modes, p, dt):
+def test_evolve_matches_the_naive_stepper(n_modes, p, band, dt):
+    """The kernel against the per-step oracle, on random_state data and on
+    data that fills the retained spectrum up to its edge, so the slots of
+    the highest modes, where the mask and the gather end, carry data from
+    the first step on."""
     config = SolverConfig(n_modes=n_modes, dt=dt, p=p)
-    u = random_state(n_modes, seed=14)
+    if band == "quarter":
+        u = random_state(n_modes, seed=14)
+    else:
+        u = _full_band_state(n_modes, seed=14)
     for n_steps in (1, 1000):
         want = _naive_evolve(u, config, n_steps)
         got = evolve(u, config, n_steps)

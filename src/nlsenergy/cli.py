@@ -131,6 +131,16 @@ def _writing(out):
         raise click.ClickException(f"cannot write {out}: {exc.strerror or exc}")
 
 
+@contextlib.contextmanager
+def _aborting_on_blowup():
+    """End a run whose state left the floating-point range with exit 3."""
+    try:
+        yield
+    except BlowupError as exc:
+        click.echo(f"aborted: {exc}", err=True)
+        sys.exit(3)
+
+
 def _solve_or_exit(k: int, p: int):
     """solve_energy(k, p), or exit 2 with the message and the residual."""
     try:
@@ -205,11 +215,8 @@ def simulate(ctx, config_path, energy_path, out, **flags):
     config = _build_config(ctx, config_path, **flags)
     _check_out(out)
     energy = _load_energy(config, energy_path)
-    try:
+    with _aborting_on_blowup():
         rows = run_experiment(config, energy)
-    except BlowupError as exc:
-        click.echo(f"aborted: {exc}", err=True)
-        sys.exit(3)
     with _writing(out):
         write_report(out, rows, config, energy)
     last = rows[-1]
@@ -226,7 +233,8 @@ def crosscheck(ctx, config_path, energy_path, **flags):
     config = _build_config(ctx, config_path, **flags)
     energy = _load_energy(config, energy_path)
     u_hat = initial_state(config)
-    result = derivative_crosscheck(u_hat, energy, config.fd_delta, config.fd_substeps)
+    with _aborting_on_blowup():
+        result = derivative_crosscheck(u_hat, energy, config.fd_delta, config.fd_substeps)
     click.echo(f"dE/dt exact        = {result['exact']:+.12e}")
     click.echo(f"dE/dt decomposed   = {result['decomposition']:+.12e}  "
                f"(rel {result['decomposition_rel_error']:.3e}, tol {DECOMPOSITION_TOLERANCE:g})")

@@ -326,32 +326,19 @@ def _solve_pinned(rows: list[list[int]], n: int,
 def solve_energy(k: int, p: int) -> EnergyDefinition:
     """Solve the cancellation system and assemble the modified energy.
 
-    Raises InfeasibleSystemError if no exact solution exists (the solver is
-    generic; solvability for each supported (k, p) is what the oracle and
-    acceptance suites establish).
+    Results are not cached: every call solves afresh, so a caller keeps
+    the energy it needs.  Raises InfeasibleSystemError if no exact solution
+    exists (the solver is generic; solvability for each supported (k, p) is
+    what the oracle and acceptance suites establish).
     """
-    return _solve_energy_cached(k, p)
-
-
-# the power part of d/dt |d^k u|^2: the solver's right-hand side and a
-# summand of every assembled derivative; solve_energy assembles right after
-# solving, so one entry is enough
-@functools.lru_cache(maxsize=1)
-def _power_part(k: int, p: int) -> Density:
-    return dt_nonlinear(Density.monomial((k,), (k,)), p)
-
-
-@functools.lru_cache(maxsize=None)
-def _solve_energy_cached(k: int, p: int) -> EnergyDefinition:
-    _check_kp(k, p)
     catalogue = build_catalogue(k, p)
     reducer = dispersive_reducer(k, p)
-    rhs = -1 * reducer.reduce(_power_part(k, p)).residual
+    # the power part of d/dt |d^k u|^2, also a summand of the derivative
+    power = dt_nonlinear(Density.monomial((k,), (k,)), p)
+    rhs = -1 * reducer.reduce(power).residual
     columns = [reducer.reduce(dt_linear(e.density)).residual for e in catalogue]
-    names = [e.name for e in catalogue]
     if k % 3 == 0:
         columns.append(-1 * reducer.reduce(cubic_density(k, p)).residual)
-        names.append("__cubic__")
     n = len(columns)
     rows = _split_real_rows(columns, rhs)
     solution, leftover = _solve_pinned(rows, n, list(range(n)))
@@ -371,13 +358,8 @@ def _solve_energy_cached(k: int, p: int) -> EnergyDefinition:
             f"{solution[-1]} or {alt[-1]}",
             cubic_density(k, p) * (solution[-1] - alt[-1]))
 
-    coefficients = {}
-    correction = Density.zero()
-    for entry, value in zip(catalogue, solution):
-        coefficients[entry.name] = value
-        if value:
-            correction = correction + entry.density * value
-    energy = _assemble(k, p, coefficients, correction)
+    coefficients = {entry.name: value for entry, value in zip(catalogue, solution)}
+    energy = _assemble(k, p, coefficients, _combine(catalogue, coefficients), power)
     if k % 3 == 0 and energy.cubic_coefficient != solution[-1]:
         raise InfeasibleSystemError(
             f"assembled cubic coefficient {energy.cubic_coefficient} for (k={k}, p={p}) "
@@ -386,8 +368,18 @@ def _solve_energy_cached(k: int, p: int) -> EnergyDefinition:
     return energy
 
 
+def _combine(catalogue: list[CatalogueEntry], coefficients: dict[str, Fraction]) -> Density:
+    """The catalogue combination F = sum of value * density, in catalogue order."""
+    correction = Density.zero()
+    for entry in catalogue:
+        value = coefficients[entry.name]
+        if value:
+            correction = correction + entry.density * value
+    return correction
+
+
 def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
-              correction: Density) -> EnergyDefinition:
+              correction: Density, power: Density) -> EnergyDefinition:
     """Deterministic residual decomposition shared by solve and import."""
     bad = [m for m in correction.monomials()
            if classify(m, k, p) is not MonomialClass.CORRECTION]
@@ -395,7 +387,7 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
         raise CorrectionReductionError(
             f"correction term leaves the correction class: {bad[:3]}")
     reducer = dispersive_reducer(k, p)
-    total = _power_part(k, p) + dt_linear(correction)
+    total = power + dt_linear(correction)
     res = reducer.reduce(total)
     cubic_coeff = Fraction(0)
     remainder = res.residual
@@ -659,20 +651,16 @@ def import_energy(source) -> EnergyDefinition:
     catalogue = build_catalogue(k, p)
     if list(coefficients) != [e.name for e in catalogue]:
         raise EnergyDocumentError("coefficient names do not match the catalogue")
-    recombined = Density.zero()
-    for entry in catalogue:
-        v = coefficients[entry.name]
-        if v:
-            recombined = recombined + entry.density * v
-    if recombined != correction:
+    diff = _combine(catalogue, coefficients) - correction
+    if not diff.is_zero:
         # accept an equivalent rewrite inside the correction sector
-        diff = recombined - correction
         if (diff.signatures() != {(p + 1, p + 1, 2 * k - 2)}
                 or not _correction_ibp_reducer(k, p).reduce(diff).residual.is_zero):
             raise EnergyDocumentError(
                 "F_k is not the catalogue combination of the stated coefficients")
     try:
-        rebuilt = _assemble(k, p, coefficients, correction)
+        rebuilt = _assemble(k, p, coefficients, correction,
+                            dt_nonlinear(Density.monomial((k,), (k,)), p))
     except (InfeasibleSystemError, CorrectionReductionError) as exc:
         raise EnergyDocumentError(f"inconsistent energy document: {exc}") from exc
     if density_to_text(rebuilt.exact_derivative) != exact_text:

@@ -59,6 +59,9 @@ class RunConfig:
             # a bool is an int to Python, but never a count a run can use
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+        # the .meta.json sidecar records the mode whatever the preset
+        if not isinstance(self.mode, int) or isinstance(self.mode, bool):
+            raise ValueError(f"mode must be an int, got {self.mode!r}")
         _check_modes(self.n_modes)
         for name in ("dt", "t_end", "record_dt", "fd_delta", "r_h1", "decay", "amplitude"):
             if not np.isfinite(getattr(self, name)):

@@ -185,6 +185,20 @@ def test_crosscheck_within_tolerance():
     assert "within tolerance" in result.output
 
 
+# the overflow that ends the run warns on its way to the finiteness check
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_crosscheck_that_blows_up_aborts_with_exit_3(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"amplitude": 1e100}))
+    result = invoke("crosscheck", "--k", "2", "--preset", "planewave",
+                    "--config", str(cfg))
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "aborted: non-finite Fourier coefficients" in result.stderr
+
+
 def _energy_document(tmp_path, **changes):
     doc = export_energy(solve_energy(2, 2))
     doc.update(changes)

@@ -1,6 +1,8 @@
 """Catalogue construction, solved energies, identity grid, serialization."""
 
 import ast
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -143,9 +145,16 @@ def test_cubic_coefficient_matches_golden(k, p):
     assert solve_energy(k, p).cubic_coefficient == CUBIC_GOLDEN[(k, p)]
 
 
-def test_solver_is_cached():
-    assert solve_energy(3, 2) is solve_energy(3, 2)
+def test_dispersive_reducer_is_cached():
     assert dispersive_reducer(3, 2) is dispersive_reducer(3, 2)
+
+
+def test_solved_energy_is_released_with_its_last_reference():
+    energy = solve_energy(4, 2)
+    ref = weakref.ref(energy)
+    del energy
+    gc.collect()
+    assert ref() is None
 
 
 def test_duplicate_entry_pinned_to_zero_at_k2():
@@ -407,6 +416,10 @@ def test_import_rejects_unreadable_files(tmp_path):
         import_energy(tmp_path / "missing.json")
 
 
+# the power part of d/dt |d^4 u|^2 at p = 2, which _assemble takes
+_POWER_4_2 = dt_nonlinear(Density.monomial((4,), (4,)), 2)
+
+
 def _parts_shift(base):
     """Full single-derivative expansion of a product, as a density."""
     out = Density.zero()
@@ -424,7 +437,8 @@ def _parts_shift(base):
 def test_import_accepts_equivalent_rewrites_of_the_correction():
     energy = solve_energy(4, 2)
     shift = _parts_shift(Monomial((2, 2, 0), (1, 0, 0))).re_part()
-    shifted = _assemble(4, 2, energy.coefficients, energy.correction + shift)
+    shifted = _assemble(4, 2, energy.coefficients, energy.correction + shift,
+                        _POWER_4_2)
     doc = export_energy(shifted)
     imported = import_energy(doc)
     assert imported == shifted
@@ -448,7 +462,7 @@ def test_import_builds_the_correction_sector_reducer_once(monkeypatch):
     energy = solve_energy(4, 2)
     shift = _parts_shift(Monomial((2, 2, 0), (1, 0, 0))).re_part()
     rewritten = export_energy(_assemble(4, 2, energy.coefficients,
-                                        energy.correction + shift))
+                                        energy.correction + shift, _POWER_4_2))
     scaled = export_energy(energy)
     _scale_correction(scaled)
     # both documents' F_k differ from the catalogue combination
@@ -482,32 +496,28 @@ def _bump_cubic_weight(solution, leftover):
     return solution[:-1] + [solution[-1] + 1], leftover
 
 
-def _solve_uncached(k, p):
-    return energy_module._solve_energy_cached.__wrapped__(k, p)
-
-
 def test_reverse_order_leftover_raises(monkeypatch):
     _patched_solver(monkeypatch, second_call=lambda s, left: (s, [[0, 1]]))
     with pytest.raises(InfeasibleSystemError, match="reverse pivot order"):
-        _solve_uncached(3, 2)
+        solve_energy(3, 2)
 
 
 def test_tie_break_dependent_cubic_weight_raises(monkeypatch):
     _patched_solver(monkeypatch, second_call=_bump_cubic_weight)
     with pytest.raises(InfeasibleSystemError, match="depends on the tie-break") as info:
-        _solve_uncached(3, 2)
+        solve_energy(3, 2)
     assert info.value.residual == cubic_density(3, 2) * -1
 
 
 def test_cubic_coefficient_mismatch_raises(monkeypatch):
     _patched_solver(monkeypatch, every_call=_bump_cubic_weight)
     with pytest.raises(InfeasibleSystemError, match="differs from the solved weight") as info:
-        _solve_uncached(3, 2)
+        solve_energy(3, 2)
     assert info.value.residual == cubic_density(3, 2) * -1
 
 
 def test_unpatched_solver_passes_its_invariant_checks():
-    assert _solve_uncached(3, 2) == solve_energy(3, 2)
+    assert solve_energy(3, 2) == solve_energy(3, 2)
 
 
 def _imported_modules(path: Path) -> set[str]:

@@ -42,6 +42,7 @@ def test_run_config_validation():
       for value in (float("nan"), float("inf"), float("-inf"))),
     {"preset": "planewave", "mode": 8}, {"preset": "planewave", "mode": -9},
     {"preset": "planewave", "mode": 1.5},
+    {"mode": "abc"}, {"preset": "planewave", "mode": True}, {"mode": True},
 ])
 def test_run_config_rejects_what_no_run_can_use(overrides):
     with pytest.raises(ValueError):

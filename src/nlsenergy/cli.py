@@ -2,7 +2,7 @@
 
 Exit codes: 1 for usage problems (bad flags, mismatched or unreadable
 energy documents), 2 for an infeasible cancellation system, 3 for failed
-verification or tolerance violations.
+verification, tolerance violations or a run aborted on non-finite values.
 """
 
 from __future__ import annotations
@@ -57,16 +57,16 @@ def _require_kp(k: int, p: int):
 
 
 _RUN_FLAGS = [
-    click.option("--k", type=int, default=2, show_default=True),
-    click.option("--p", type=int, default=2, show_default=True),
-    click.option("--n-modes", type=int, default=64, show_default=True),
-    click.option("--dt", type=float, default=1e-3, show_default=True),
-    click.option("--t-end", type=float, default=1.0, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--r-h1", type=float, default=1.0, show_default=True),
-    click.option("--decay", type=float, default=3.0, show_default=True),
+    click.option("--k", type=int, default=RunConfig.k, show_default=True),
+    click.option("--p", type=int, default=RunConfig.p, show_default=True),
+    click.option("--n-modes", type=int, default=RunConfig.n_modes, show_default=True),
+    click.option("--dt", type=float, default=RunConfig.dt, show_default=True),
+    click.option("--t-end", type=float, default=RunConfig.t_end, show_default=True),
+    click.option("--seed", type=int, default=RunConfig.seed, show_default=True),
+    click.option("--r-h1", type=float, default=RunConfig.r_h1, show_default=True),
+    click.option("--decay", type=float, default=RunConfig.decay, show_default=True),
     click.option("--preset", type=click.Choice(["random", "planewave"]),
-                 default="random", show_default=True),
+                 default=RunConfig.preset, show_default=True),
     click.option("--energy", "energy_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="Energy document; solved on the fly if omitted."),
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),

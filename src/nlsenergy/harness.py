@@ -113,13 +113,14 @@ class RunPlans(NamedTuple):
     energy: DensityPlan
 
 
-def compile_plans(energy: EnergyDefinition) -> RunPlans:
+def compile_plans(energy: EnergyDefinition, n_modes: int) -> RunPlans:
+    """The plans of `energy` for states of n_modes modes."""
     e_k = energy.energy_density()
     densities = (energy.exact_derivative, energy.residual_density(), e_k,
                  energy.correction, hamiltonian_density(energy.p))
     if energy.cubic_coefficient:
         densities += (cubic_density(energy.k, energy.p),)
-    return RunPlans(DensityPlan(densities), DensityPlan((e_k,)))
+    return RunPlans(DensityPlan(densities, n_modes), DensityPlan((e_k,), n_modes))
 
 
 def _fd_derivative(u_hat: np.ndarray, energy_plan: DensityPlan, p: int,
@@ -142,7 +143,7 @@ def derivative_crosscheck(u_hat: np.ndarray, energy: EnergyDefinition,
     Compiles the plans a run would, so that a crosscheck of a run's state
     reads the values of that run's record.
     """
-    plans = compile_plans(energy)
+    plans = compile_plans(energy, len(u_hat))
     exact, residual = plans.record.evaluate_real(u_hat)[:2]
     fd = _fd_derivative(u_hat, plans.energy, energy.p, fd_delta, fd_substeps)
     scale = max(abs(exact), abs(fd), 1e-30)
@@ -159,8 +160,10 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
             config: RunConfig, plans: RunPlans) -> dict:
     """One record at state u_hat, from the plans of `energy`."""
     k = energy.k
-    hk = sobolev_norm(u_hat, k)
+    # the record first: a state out of the floating-point range ends there,
+    # before the norms overflow with a warning
     record = dict(zip(_RECORD_FUNCTIONALS, plans.record.evaluate_real(u_hat)))
+    hk = sobolev_norm(u_hat, k)
     f_val = record["F_k"]
     # growth-bound exponent 2(k-2)/(k-1); degenerates to 0 at k=2 so the
     # monitored quantity is then just |F| itself.  hk vanishes only at u = 0,
@@ -194,7 +197,7 @@ def run_experiment(config: RunConfig, energy: EnergyDefinition) -> list[dict]:
         raise ValueError(
             f"energy document is for (k={energy.k}, p={energy.p}), "
             f"config wants (k={config.k}, p={config.p})")
-    plans = compile_plans(energy)
+    plans = compile_plans(energy, config.n_modes)
     u_hat = initial_state(config)
     scfg = solver_config(config)
     total_steps = max(1, round(config.t_end / config.dt))

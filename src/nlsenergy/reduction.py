@@ -26,9 +26,7 @@ many derivative-bearing factors (the quartic remainder of the dispersive
 sector), the walk itself is capped (`max_derivative_factors` of
 :func:`ibp_generators` and :func:`enumerate_monomials`): it prunes every
 branch that would exceed the cap, so its work follows what it keeps,
-1,054 bases at (k, p) = (20, 5) where the full walk has 1,378,404.  Any
-other rule is a predicate applied after the full walk (the `keep`
-argument).
+1,054 bases at (k, p) = (20, 5) where the full walk has 1,378,404.
 """
 
 from __future__ import annotations
@@ -95,7 +93,6 @@ def enumerate_monomials(signature: Signature, max_order: int,
 
 
 def ibp_generators(signature: Signature, max_order: int,
-                   keep: Callable[[Monomial], bool] | None = None,
                    max_derivative_factors: int | None = None) -> list[Density]:
     """Total-derivative relations spanning the IBP subspace of a sector.
 
@@ -103,10 +100,10 @@ def ibp_generators(signature: Signature, max_order: int,
     expansion of its derivative, all coefficients +1.  With the default cap
     max_order = total this is the complete IBP span of the sector.  A
     caller leaves out the products whose every Leibniz term is in its
-    allowed class, since their generators project to zero, in one of two
-    ways: `max_derivative_factors` limits the products walked to those with
+    allowed class, since their generators project to zero, by
+    `max_derivative_factors`: it limits the products walked to those with
     at most that many derivative-bearing factors (the rest are never
-    enumerated), and `keep`, a predicate, drops products after enumeration.
+    enumerated).
     """
     n_u, n_c, total = signature
     if total == 0:
@@ -115,8 +112,6 @@ def ibp_generators(signature: Signature, max_order: int,
     gens = []
     for base in enumerate_monomials((n_u, n_c, total - 1), max_order - 1,
                                     max_derivative_factors):
-        if keep is not None and not keep(base):
-            continue
         # the terms of equal factors coincide, so each term's coefficient
         # is its multiplicity
         multiplicity: dict[Monomial, int] = {}

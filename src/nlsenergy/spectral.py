@@ -27,7 +27,9 @@ the quadrature exact for the product's bandwidth, then gathers,
 multiplies and averages the factor grids of every monomial at once.  Pair
 monomials (one factor of each conjugation) instead sum an explicit
 per-mode symbol, which keeps the large cancellations between high-order
-terms exact in floating point.  A plan is an ordinary value and this
+terms exact in floating point.  A plan is compiled for one grid size:
+its grid slots, derivative multipliers and pair symbols are built with
+it, and evaluating it changes nothing.  It is an ordinary value and this
 module keeps none: a caller that evaluates the same densities at many
 states compiles their plan once and holds it, while
 :func:`evaluate_density` and :func:`evaluate_real` compile a one-density
@@ -251,10 +253,12 @@ class _FactorGroup:
     densities, as arrays: the distinct derivative orders, a monomials x q
     index of each factor into the stacked plain and conjugated grids of
     those orders, and a densities x monomials matrix of coefficients.
-    The slots and derivative multipliers of a grid size are built on
-    first use and kept."""
+    Compiled for one grid size, it also holds the grid slots of the
+    retained modes and the multipliers (in)^order of every order, stacked
+    orders x modes."""
 
-    def __init__(self, q: int, monomials: list[Monomial], coeffs: np.ndarray):
+    def __init__(self, q: int, monomials: list[Monomial], coeffs: np.ndarray,
+                 n_modes: int):
         self.q = q
         self.orders = sorted({order for m in monomials
                               for block in (m.u_orders, m.c_orders) for order in block})
@@ -265,20 +269,12 @@ class _FactorGroup:
              + [row[order] + conj_offset for order in m.c_orders]
              for m in monomials], dtype=np.intp).reshape(len(monomials), q)
         self.coeffs = coeffs
-        self._by_size: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _spectrum_map(self, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-        """The grid slots of the retained modes, and the multipliers
-        (in)^order of every order of the group, stacked orders x modes."""
-        got = self._by_size.get(n_modes)
-        if got is None:
-            m = n_modes * (self.q // 2 + 1)
-            n = wavenumbers(n_modes)
-            ik = 1j * n.astype(float)
-            mult = np.array([ik ** order for order in self.orders],
-                            dtype=complex).reshape(len(self.orders), n_modes)
-            got = self._by_size[n_modes] = (n % m, mult)
-        return got
+        self.m = n_modes * (q // 2 + 1)
+        n = wavenumbers(n_modes)
+        self.slots = n % self.m
+        ik = 1j * n.astype(float)
+        self.mult = np.array([ik ** order for order in self.orders],
+                             dtype=complex).reshape(len(self.orders), n_modes)
 
     def terms(self, u_hat: np.ndarray) -> np.ndarray:
         """c_ij v_j for every density i and monomial j, each v_j computed
@@ -288,12 +284,9 @@ class _FactorGroup:
         grid of N*(q//2+1) points has at least q*N/2 + 1 of them for every
         N >= 8, so the mean does not alias.
         """
-        n_modes = len(u_hat)
-        q = self.q
-        m = n_modes * (q // 2 + 1)
-        slots, mult = self._spectrum_map(n_modes)
+        q, m = self.q, self.m
         spec = np.zeros((len(self.orders), m), dtype=complex)
-        spec[:, slots] = u_hat * mult
+        spec[:, self.slots] = u_hat * self.mult
         # the plain grids, then their conjugates: np.fft.ifft(spec, axis=1) * m
         grids = np.empty((2 * len(self.orders), m), dtype=complex)
         plain = grids[:len(self.orders)]
@@ -312,7 +305,8 @@ class _FactorGroup:
 
 
 class DensityPlan:
-    """A tuple of densities compiled for repeated numerical evaluation.
+    """A tuple of densities compiled for repeated numerical evaluation at
+    states of n_modes modes.
 
     The distinct monomials of all the densities are grouped by factor
     count, except pair monomials (signature (1, 1, .)), which take the
@@ -320,7 +314,9 @@ class DensityPlan:
     state, and each density keeps its own row of coefficients.
     """
 
-    def __init__(self, densities: tuple[Density, ...]):
+    def __init__(self, densities: tuple[Density, ...], n_modes: int):
+        _check_modes(n_modes)
+        self.n_modes = n_modes
         self.size = len(densities)
         self.is_real_valued = all(d.is_real_valued for d in densities)
         # every density lists its terms in the one canonical order, so the
@@ -344,41 +340,44 @@ class DensityPlan:
             # row-major, so that each density sums its terms pairwise along a row
             return np.ascontiguousarray(coeffs[:, [column[m] for m in group]])
 
-        self.groups = [_FactorGroup(q, group, columns(group))
+        self.groups = [_FactorGroup(q, group, columns(group), n_modes)
                        for q, group in sorted(by_q.items())]
-        self.pair_orders = [(m.u_orders[0], m.c_orders[0]) for m in pairs]
-        self.pair_coeffs = columns(pairs)
-        self._pair_symbols: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _pair_symbol(self, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per density and mode: the sum of the pair symbols c (in)^a (-in)^b,
-        and of their magnitudes |c| |n|^(a+b); built on first use at a size
-        and kept."""
-        got = self._pair_symbols.get(n_modes)
-        if got is None:
+        # per density and mode: the sum of the pair symbols c (in)^a (-in)^b,
+        # and of their magnitudes |c| |n|^(a+b); None without pair monomials
+        self.pair_symbol = self.pair_magnitude = None
+        if pairs:
             n = wavenumbers(n_modes).astype(float)
             symbol = np.zeros((self.size, n_modes), dtype=complex)
             magnitude = np.zeros((self.size, n_modes))
-            for (a, b), c in zip(self.pair_orders, self.pair_coeffs.T):
+            for m, c in zip(pairs, columns(pairs).T):
+                a, b = m.u_orders[0], m.c_orders[0]
                 symbol = symbol + c[:, None] * (1j * n) ** a * (-1j * n) ** b
                 magnitude = magnitude + np.abs(c)[:, None] * np.abs(n) ** (a + b)
-            got = self._pair_symbols[n_modes] = (symbol, magnitude)
-        return got
+            self.pair_symbol, self.pair_magnitude = symbol, magnitude
 
     def evaluate(self, u_hat: np.ndarray) -> tuple[DensityValue, ...]:
-        """The value of every density at one state, in the plan's order."""
-        _check_modes(len(u_hat))
+        """The value of every density at one state, in the plan's order.
+
+        Raises ValueError for a state of another shape than the plan's
+        grid, and BlowupError if a value or its term scale is not finite.
+        """
+        if np.shape(u_hat) != (self.n_modes,):
+            raise ValueError(f"state of shape {np.shape(u_hat)} does not match "
+                             f"n_modes={self.n_modes}")
         value = np.zeros(self.size, dtype=complex)
         scale = np.zeros(self.size)
-        for group in self.groups:
-            terms = group.terms(u_hat)
-            value += terms.sum(axis=1)
-            scale += np.abs(terms).sum(axis=1)
-        if self.pair_orders:
-            symbol, magnitude = self._pair_symbol(len(u_hat))
-            power = np.abs(u_hat) ** 2
-            value += 2 * np.pi * np.sum(symbol * power, axis=1)
-            scale += 2 * np.pi * np.sum(magnitude * power, axis=1)
+        # overflow here surfaces as a BlowupError at the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for group in self.groups:
+                terms = group.terms(u_hat)
+                value += terms.sum(axis=1)
+                scale += np.abs(terms).sum(axis=1)
+            if self.pair_symbol is not None:
+                power = np.abs(u_hat) ** 2
+                value += 2 * np.pi * np.sum(self.pair_symbol * power, axis=1)
+                scale += 2 * np.pi * np.sum(self.pair_magnitude * power, axis=1)
+        if not (np.all(np.isfinite(value)) and np.all(np.isfinite(scale))):
+            raise BlowupError("non-finite functional values; reduce dt or the data size")
         return tuple(DensityValue(v, s) for v, s in zip(value, scale))
 
     def evaluate_real(self, u_hat: np.ndarray) -> tuple[float, ...]:
@@ -407,9 +406,9 @@ def evaluate_density(u_hat: np.ndarray, density: Density) -> DensityValue:
     terms of one mode, which grid quadrature cannot guarantee in floating
     point).
     """
-    return DensityPlan((density,)).evaluate(u_hat)[0]
+    return DensityPlan((density,), len(u_hat)).evaluate(u_hat)[0]
 
 
 def evaluate_real(u_hat: np.ndarray, density: Density) -> float:
     """Value of a conjugation-fixed functional; see DensityPlan.evaluate_real."""
-    return DensityPlan((density,)).evaluate_real(u_hat)[0]
+    return DensityPlan((density,), len(u_hat)).evaluate_real(u_hat)[0]

@@ -1,5 +1,6 @@
 """End-to-end command line checks through click's test runner."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from nlsenergy.algebra import Density
 from nlsenergy.cli import main
 from nlsenergy.energy import (InfeasibleSystemError, export_energy,
                               import_energy, save_energy, solve_energy)
+from nlsenergy.harness import RunConfig
 
 FAST = ["--n-modes", "16", "--dt", "1e-3", "--t-end", "0.01"]
 
@@ -185,9 +187,8 @@ def test_crosscheck_within_tolerance():
     assert "within tolerance" in result.output
 
 
-# the overflow that ends the run warns on its way to the finiteness check
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+# the overflow that ends the run must not warn on its way to the abort
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_crosscheck_that_blows_up_aborts_with_exit_3(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"amplitude": 1e100}))
@@ -196,7 +197,36 @@ def test_crosscheck_that_blows_up_aborts_with_exit_3(tmp_path):
     assert result.exit_code == 3
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
-    assert "aborted: non-finite Fourier coefficients" in result.stderr
+    assert "aborted: non-finite" in result.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "crosscheck"])
+@pytest.mark.parametrize("amplitude", [1e40, 1e200])
+def test_a_non_finite_functional_value_aborts_with_exit_3(tmp_path, command, amplitude):
+    # the ten-factor terms of dE_k/dt overflow at the first record, and at
+    # 1e200 so would the norms of a record if they came first
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"amplitude": amplitude, "preset": "planewave"}))
+    out = tmp_path / "never.csv"
+    extra = ["--out", str(out)] if command == "simulate" else []
+    result = invoke(command, "--k", "6", "--n-modes", "16", "--t-end", "0.01",
+                    "--config", str(cfg), *extra)
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aborted: non-finite"), lines
+    assert "within tolerance" not in result.output
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_run_flag_defaults_are_the_run_config_defaults():
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    for command in (cli.simulate, cli.crosscheck):
+        flags = {param.name: param.default for param in command.params
+                 if param.name in defaults}
+        assert len(flags) == 9
+        assert flags == {name: defaults[name] for name in flags}
 
 
 def _energy_document(tmp_path, **changes):

@@ -62,6 +62,17 @@ def test_catalogue_entries_live_in_the_correction_class(k):
             assert classify(m, k, p) is MonomialClass.CORRECTION, entry.name
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_only_the_top_mixed_entry_at_k3_leaves_the_correction_class(p):
+    # verify_identities reduces a power image in the nonlinear sector only
+    # for an entry outside the correction class, and builds that echelon
+    # uncached on the strength of there being this one
+    outside = [(k, entry.name) for k in range(2, 31) for entry in build_catalogue(k, p)
+               if any(classify(m, k, p) is not MonomialClass.CORRECTION
+                      for m in entry.density.monomials())]
+    assert outside == [(3, "mixed_c[2]")]
+
+
 def test_basic_density_shapes():
     assert basic_density(Family.ALIGNED_U, 3, 1, 2) == \
         Density.monomial((2, 2, 2), (0, 0, 0)).im_part()

@@ -124,7 +124,8 @@ def test_derivative_crosscheck_accuracy():
 def test_bound_ratio_reduces_to_abs_correction_at_k2():
     energy = solve_energy(2, 2)
     config = _small_config()
-    row = observe(initial_state(config), 0.0, energy, config, compile_plans(energy))
+    plans = compile_plans(energy, config.n_modes)
+    row = observe(initial_state(config), 0.0, energy, config, plans)
     assert row["bound_ratio"] == abs(row["F_k"])
     assert max_bound_ratio([row, {"bound_ratio": -1.0}]) == row["bound_ratio"]
 
@@ -133,7 +134,8 @@ def test_bound_ratio_reduces_to_abs_correction_at_k2():
 def test_bound_ratio_of_the_zero_state_is_zero(k):
     energy = solve_energy(k, 2)
     config = _small_config(k=k, preset="planewave", amplitude=0.0)
-    row = observe(initial_state(config), 0.0, energy, config, compile_plans(energy))
+    plans = compile_plans(energy, config.n_modes)
+    row = observe(initial_state(config), 0.0, energy, config, plans)
     assert row["hk"] == 0.0
     assert row["F_k"] == 0.0
     assert row["bound_ratio"] == 0.0
@@ -153,9 +155,9 @@ def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch):
     compiled = []
 
     class CountingPlan(spectral.DensityPlan):
-        def __init__(self, densities):
+        def __init__(self, densities, n_modes):
             compiled.append(densities)
-            super().__init__(densities)
+            super().__init__(densities, n_modes)
 
     monkeypatch.setattr(spectral, "DensityPlan", CountingPlan)
     monkeypatch.setattr(harness, "DensityPlan", CountingPlan)
@@ -179,7 +181,7 @@ def test_a_record_equals_separate_evaluations():
     energy = solve_energy(6, 2)
     config = _small_config(k=6, n_modes=64, seed=4)
     u = initial_state(config)
-    row = observe(u, 0.0, energy, config, compile_plans(energy))
+    row = observe(u, 0.0, energy, config, compile_plans(energy, config.n_modes))
     for column, density in (("E_k", energy.energy_density()),
                             ("F_k", energy.correction),
                             ("hamiltonian", hamiltonian_density(2)),

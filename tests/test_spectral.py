@@ -151,8 +151,8 @@ def test_energy_drift_equals_integrated_residual():
     modified energy: E(T) - E(0) against the trapezoid rule applied to the
     residual functional along the trajectory."""
     energy = solve_energy(3, 2)
-    e_k = DensityPlan((energy.energy_density(),))
-    residual = DensityPlan((energy.residual_density(),))
+    e_k = DensityPlan((energy.energy_density(),), 32)
+    residual = DensityPlan((energy.residual_density(),), 32)
     config = SolverConfig(n_modes=32, dt=2e-4, p=2)
     u = random_state(32, seed=3)
     start = e_k.evaluate_real(u)[0]
@@ -292,19 +292,28 @@ def test_the_fft_gufuncs_are_what_the_numpy_wrappers_run(m):
     assert out.tobytes() == np.fft.ifft(rows, axis=1).tobytes()
 
 
-def test_a_plan_evaluated_at_alternating_sizes_matches_fresh_plans():
-    # group monomials of two factor counts and pair monomials, so that both
-    # per-size caches are used
+@pytest.mark.parametrize("shape", [(32,), (128,), (2, 64)])
+def test_a_plan_rejects_a_state_of_another_shape(shape):
+    # group monomials of two factor counts and pair monomials
     energy = solve_energy(4, 2)
     densities = (energy.exact_derivative, energy.energy_density())
-    plan = DensityPlan(densities)
-    assert len(plan.groups) == 2 and plan.pair_orders
-    for n_modes in (64, 32, 64):
-        u = random_state(n_modes, seed=n_modes)
-        got = plan.evaluate(u)
-        want = DensityPlan(densities).evaluate(u)
-        assert [complex(v) for v in got] == [complex(v) for v in want]
-        assert [v.term_scale for v in got] == [v.term_scale for v in want]
+    plan = DensityPlan(densities, 64)
+    assert len(plan.groups) == 2 and plan.pair_symbol is not None
+    with pytest.raises(ValueError, match="does not match n_modes=64"):
+        plan.evaluate(np.ones(shape, dtype=complex))
+    u = random_state(64, seed=64)
+    got, want = plan.evaluate(u), DensityPlan(densities, 64).evaluate(u)
+    assert [complex(v) for v in got] == [complex(v) for v in want]
+    assert [v.term_scale for v in got] == [v.term_scale for v in want]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_value_out_of_the_floating_point_range_raises_blowup_without_warnings():
+    energy = solve_energy(2, 2)
+    plan = DensityPlan((energy.energy_density(), energy.exact_derivative), 16)
+    # |u|^6 of E_k stays finite, the ten-factor terms of dE_k/dt overflow
+    with pytest.raises(BlowupError, match="non-finite functional values"):
+        plan.evaluate(plane_wave(1e40, 1, 16))
 
 
 def test_plan_matches_naive_evaluator_on_a_solved_energy():
@@ -370,7 +379,7 @@ def _density_tuples(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(densities=_density_tuples(), u_hat=_states())
 def test_plan_of_several_densities_matches_each_alone(densities, u_hat):
-    values = DensityPlan(densities).evaluate(u_hat)
+    values = DensityPlan(densities, len(u_hat)).evaluate(u_hat)
     assert len(values) == len(densities)
     for density, got in zip(densities, values):
         want, scale = _naive_density(u_hat, density)
@@ -388,7 +397,7 @@ def test_imaginary_residue_is_measured_against_the_term_scale():
     assert scale > 1.0
     sextic_value = evaluate_real(u, sextic)
     # an imaginary part delta of the |u|^6 coefficient adds delta * sextic_value
-    plan = DensityPlan((density,))
+    plan = DensityPlan((density,), 32)
     group = plan.groups[0]
     for share, raises in ((0.1, False), (10.0, True)):
         group.coeffs[0, 0] = 1 / 3 + 1j * share * 1e-9 * scale / sextic_value
@@ -403,7 +412,7 @@ def test_each_value_of_a_plan_is_checked_against_its_own_term_scale():
     u = random_state(32, seed=8, r_h1=3.0)
     sextic = Density.monomial((0, 0, 0), (0, 0, 0))
     large = Density.monomial((4,), (4,)) * 10 ** 6 + sextic
-    plan = DensityPlan((large, sextic))
+    plan = DensityPlan((large, sextic), 32)
     large_scale, scale = (v.term_scale for v in plan.evaluate(u))
     assert large_scale > 1e6 * scale
     # a residue far below the large density's terms, far above the sextic's
@@ -411,4 +420,4 @@ def test_each_value_of_a_plan_is_checked_against_its_own_term_scale():
     with pytest.raises(ArithmeticError):
         plan.evaluate_real(u)
     with pytest.raises(ValueError):
-        DensityPlan((large, Density.monomial((1,), (0,)))).evaluate_real(u)
+        DensityPlan((large, Density.monomial((1,), (0,))), 32).evaluate_real(u)

@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
-from .algebra import (Density, Monomial, density_from_text, density_to_text,
-                      dt_evolution, dt_linear, dt_nonlinear)
+from .algebra import (Density, Monomial, density_to_text, dt_evolution,
+                      dt_linear, dt_nonlinear)
 from .rational import GaussianRational
 from .reduction import MonomialClass, SectorReducer, classify, ibp_generators
 
@@ -185,33 +185,20 @@ def _in_class(k: int, p: int, cls: MonomialClass):
     return lambda m: classify(m, k, p) is cls
 
 
-# Each cached reducer builds only the generators that survive projection: a
-# product whose every Leibniz term is allowed gives an empty row.
-
 @functools.lru_cache(maxsize=None)
 def dispersive_reducer(k: int, p: int) -> SectorReducer:
     """Cached echelon of the dispersive sector (p+1, p+1, 2k).
 
     Allowed coordinates: the quartic-remainder monomials.  Shared by the
-    solver, identity verification, and document validation.
+    solver, identity verification, and document validation; the one
+    cached echelon of this module.
     """
-    # a product with four or more derivative-bearing factors differentiates
-    # into terms with at least as many, so those products are never walked
+    # it builds only the generators that survive projection: a product with
+    # four or more derivative-bearing factors differentiates into terms with
+    # at least as many, all allowed, so those products are never walked
     return SectorReducer(
         ibp_generators((p + 1, p + 1, 2 * k), 2 * k, max_derivative_factors=3),
         _in_class(k, p, MonomialClass.QUARTIC_REMAINDER))
-
-
-# only documents whose F_k is a rewrite of the catalogue combination need
-# this echelon, and a process validates them one (k, p) at a time; keeping
-# one bounds memory (all of them together hold about 15 MB of peak RSS on
-# the k 2..8 x p {2,3} grid plus (12,2) and (12,4))
-@functools.lru_cache(maxsize=1)
-def _correction_ibp_reducer(k: int, p: int) -> SectorReducer:
-    """Echelon of the correction sector (p+1, p+1, 2k-2) with no allowed
-    coordinates: a density reduces to zero iff it integrates by parts to 0."""
-    sector = (p + 1, p + 1, 2 * k - 2)
-    return SectorReducer(ibp_generators(sector, 2 * k - 2))
 
 
 @dataclass
@@ -546,13 +533,14 @@ def verify_identities(k: int, p: int) -> IdentityReport:
               basic_density(Family.MIXED_C, k, 1, p)
               + basic_density(Family.MIXED_U, k, 0, p))
         # expression rewrite of the top mixed_c correction: one integration
-        # by parts, no remainder class involved
+        # by parts, no remainder class involved; the echelon of its sector
+        # (p+1, p+1, 4) is small and built once, so it is not cached
         extra = Density.monomial(_orders(2, 1, 1, pad=p - 2), _orders(pad=p + 1)).re_part()
         delta = (correction_density(Family.MIXED_C, k, 2, p)
                  + correction_density(Family.ALIGNED_U, k, 1, p)
                  + correction_density(Family.MIXED_C, k, 1, p) * (p + 1)
                  + extra * (p - 1))
-        res = _correction_ibp_reducer(k, p).reduce(delta)
+        res = SectorReducer(ibp_generators((p + 1, p + 1, 4), 4)).reduce(delta)
         checks.append(IdentityCheck("mixed_c[2] rewrite (k=3)", "ibp",
                                     res.residual.is_zero, res.residual))
     if r == 1:
@@ -612,13 +600,13 @@ def import_energy(source) -> EnergyDefinition:
     """Load and fully validate an energy document (a dict, or the path of
     a JSON file).
 
-    Validation recomputes the exact derivative and the residual
-    decomposition from the document's correction term and requires the
-    document's text of each to be the canonical text of the recomputation,
-    so hand-edited coefficients or residuals are rejected.  Only `F_k` is
-    parsed; it may be any text of an equivalent correction.
-    Anything unreadable, malformed or inconsistent, an unusable k or p
-    included, raises EnergyDocumentError.
+    Only `schema_version`, `k`, `p` and the coefficients are input: the
+    energy is recomputed from them, and the document is accepted exactly
+    when `export_energy` of the recomputation equals it, so every other
+    field must be the text `export_energy` writes.  An `F_k` that is not
+    the text of the stated coefficients' combination is rejected before
+    the residuals are recomputed.  Anything unreadable, malformed or
+    inconsistent, an unusable k or p included, raises EnergyDocumentError.
     """
     try:
         doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
@@ -626,12 +614,7 @@ def import_energy(source) -> EnergyDefinition:
         k, p = doc["k"], doc["p"]
         _check_kp(k, p)
         coefficients = {name: Fraction(v) for name, v in doc["coefficients"].items()}
-        cubic = Fraction(doc["cubic_coeff"])
-        correction = density_from_text(doc["F_k"])
-        # the derived fields are compared as canonical text, not parsed
-        quartic_text = doc["residual_omega"]
-        nonlinear_text = doc["residual_theta"]
-        exact_text = doc["exact_derivative"]
+        correction_text = doc["F_k"]
     # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
     except (OSError, KeyError, ValueError, TypeError, AttributeError,
             ArithmeticError) as exc:
@@ -642,22 +625,23 @@ def import_energy(source) -> EnergyDefinition:
     catalogue = build_catalogue(k, p)
     if list(coefficients) != [e.name for e in catalogue]:
         raise EnergyDocumentError("coefficient names do not match the catalogue")
-    diff = _combine(catalogue, coefficients) - correction
-    if not diff.is_zero:
-        # accept an equivalent rewrite inside the correction sector
-        if (diff.signatures() != {(p + 1, p + 1, 2 * k - 2)}
-                or not _correction_ibp_reducer(k, p).reduce(diff).residual.is_zero):
-            raise EnergyDocumentError(
-                "F_k is not the catalogue combination of the stated coefficients")
+    correction = _combine(catalogue, coefficients)
+    if density_to_text(correction) != correction_text:
+        raise EnergyDocumentError(
+            "F_k is not the catalogue combination of the stated coefficients")
     try:
         rebuilt = _assemble(k, p, coefficients, correction,
                             dt_nonlinear(Density.monomial((k,), (k,)), p))
     except (InfeasibleSystemError, CorrectionReductionError) as exc:
         raise EnergyDocumentError(f"inconsistent energy document: {exc}") from exc
-    if density_to_text(rebuilt.exact_derivative) != exact_text:
-        raise EnergyDocumentError("exact_derivative does not match the recomputation")
-    if (density_to_text(rebuilt.residual_quartic) != quartic_text
-            or density_to_text(rebuilt.residual_nonlinear) != nonlinear_text
-            or rebuilt.cubic_coefficient != cubic):
-        raise EnergyDocumentError("residual decomposition does not match the recomputation")
+    expected = export_energy(rebuilt)
+    if doc.keys() != expected.keys():
+        raise EnergyDocumentError("malformed energy document: missing or unknown "
+                                  f"keys {sorted(doc.keys() ^ expected.keys(), key=str)}")
+    # a type check too: 1.0 and True equal 1 but are other JSON
+    differ = [key for key, value in expected.items()
+              if type(doc[key]) is not type(value) or doc[key] != value]
+    if differ:
+        raise EnergyDocumentError(
+            f"fields that differ from the recomputation's export: {', '.join(differ)}")
     return rebuilt

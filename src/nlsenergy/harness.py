@@ -64,8 +64,9 @@ class RunConfig:
             raise ValueError(f"mode must be an int, got {self.mode!r}")
         _check_modes(self.n_modes)
         for name in ("dt", "t_end", "record_dt", "fd_delta", "r_h1", "decay", "amplitude"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.preset not in ("random", "planewave"):
             raise ValueError(f"preset must be 'random' or 'planewave', got {self.preset!r}")
         if self.preset == "planewave":

@@ -20,13 +20,14 @@ residual does not depend on the order in which generators are supplied.
 A generator whose Leibniz terms are all allowed projects to an empty row
 and never enters the echelon, so callers that know which products
 differentiate into allowed terms only leave those generators out; the
-cached reducers of :mod:`nlsenergy.energy` build only the generators that
-survive projection.  Where the products to leave out are those with too
-many derivative-bearing factors (the quartic remainder of the dispersive
-sector), the walk itself is capped (`max_derivative_factors` of
-:func:`ibp_generators` and :func:`enumerate_monomials`): it prunes every
-branch that would exceed the cap, so its work follows what it keeps,
-1,054 bases at (k, p) = (20, 5) where the full walk has 1,378,404.
+one cached reducer, :func:`nlsenergy.energy.dispersive_reducer`, builds
+only the generators that survive projection.  Its products to leave out
+are those with too many derivative-bearing factors (the quartic
+remainder of the dispersive sector), so the walk itself is capped
+(`max_derivative_factors` of :func:`ibp_generators` and
+:func:`enumerate_monomials`): it prunes every branch that would exceed
+the cap, so its work follows what it keeps, 1,054 bases at
+(k, p) = (20, 5) where the full walk has 1,378,404.
 """
 
 from __future__ import annotations

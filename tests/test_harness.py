@@ -39,7 +39,7 @@ def test_run_config_validation():
     {"fd_substeps": 0}, {"fd_substeps": 10.0}, {"fd_delta": 0.0},
     *({name: value} for name in ("dt", "t_end", "record_dt", "fd_delta",
                                  "r_h1", "decay", "amplitude")
-      for value in (float("nan"), float("inf"), float("-inf"))),
+      for value in (float("nan"), float("inf"), float("-inf"), True)),
     {"preset": "planewave", "mode": 8}, {"preset": "planewave", "mode": -9},
     {"preset": "planewave", "mode": 1.5},
     {"mode": "abc"}, {"preset": "planewave", "mode": True}, {"mode": True},

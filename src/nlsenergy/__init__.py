@@ -16,6 +16,5 @@ from .rational import GaussianRational
 from .reduction import (MonomialClass, ReductionResult, SectorReducer, classify,
                         enumerate_monomials, ibp_generators)
 from .spectral import (BlowupError, SolverConfig, evaluate_density,
-                       evaluate_real, evolve, l2_norm, momentum, plane_wave,
-                       plane_wave_solution, random_state, sobolev_norm,
-                       wavenumbers)
+                       evaluate_real, evolve, l2_norm, plane_wave,
+                       random_state, sobolev_norm, wavenumbers)

@@ -101,18 +101,30 @@ def _build_config(ctx, config_path, **flags) -> RunConfig:
 
 def _load_energy(config: RunConfig, energy_path):
     """Validated document if a path was given, otherwise a fresh solve.
-    Mismatches are usage errors and must fire before any simulation."""
-    if energy_path:
-        try:
-            energy = import_energy(energy_path)
-        except EnergyDocumentError as exc:
-            raise click.UsageError(f"bad energy document: {exc}")
-        if (energy.k, energy.p) != (config.k, config.p):
+    Mismatches are usage errors and must fire before any simulation; a
+    document for another usable (k, p) is refused before it is validated,
+    which recomputes the whole energy."""
+    if not energy_path:
+        return _solve_or_exit(config.k, config.p)
+    try:
+        doc = json.loads(Path(energy_path).read_text())
+    except (OSError, ValueError):
+        doc = None
+    if isinstance(doc, dict):
+        k, p = doc.get("k"), doc.get("p")
+        if ((k, p) != (config.k, config.p)
+                and all(type(v) is int and v >= 2 for v in (k, p))):
             raise click.UsageError(
-                f"energy document is for (k={energy.k}, p={energy.p}) "
+                f"energy document is for (k={k}, p={p}) "
                 f"but the run wants (k={config.k}, p={config.p})")
-        return energy
-    return _solve_or_exit(config.k, config.p)
+    else:
+        doc = energy_path  # import_energy says what is wrong with the file
+    try:
+        # an accepted document states the run's (k, p): export_energy of
+        # the recomputation, which must equal it, writes both as ints
+        return import_energy(doc)
+    except EnergyDocumentError as exc:
+        raise click.UsageError(f"bad energy document: {exc}")
 
 
 def _check_out(out):

@@ -191,13 +191,6 @@ def plane_wave(amplitude: complex, mode: int, n_modes: int) -> np.ndarray:
     return u
 
 
-def plane_wave_solution(amplitude: complex, mode: int, p: int, t: float,
-                        n_modes: int) -> np.ndarray:
-    """Exact single-mode solution: the phase rotates at mode^2 + |A|^(2p)."""
-    omega = mode ** 2 + abs(amplitude) ** (2 * p)
-    return plane_wave(amplitude * np.exp(-1j * omega * t), mode, n_modes)
-
-
 def random_state(n_modes: int, seed: int, decay: float = 3.0,
                  r_h1: float = 1.0) -> np.ndarray:
     """Random-phase data with |u_hat(n)| = (1+|n|)^(-decay) on |n| <= N/4,
@@ -221,11 +214,6 @@ def l2_norm(u_hat: np.ndarray) -> float:
 def sobolev_norm(u_hat: np.ndarray, k: int) -> float:
     n = wavenumbers(len(u_hat)).astype(float)
     return float(np.sqrt(2 * np.pi * np.sum((1 + n ** (2 * k)) * np.abs(u_hat) ** 2)))
-
-
-def momentum(u_hat: np.ndarray) -> float:
-    n = wavenumbers(len(u_hat)).astype(float)
-    return float(2 * np.pi * np.sum(n * np.abs(u_hat) ** 2))
 
 
 # -- density evaluation -----------------------------------------------------

@@ -82,6 +82,23 @@ def test_simulate_rejects_mismatched_energy_document(tmp_path):
     assert not out.exists()
 
 
+def test_mismatched_energy_document_is_refused_before_it_is_validated(tmp_path, monkeypatch):
+    doc = tmp_path / "e124.json"
+    save_energy(solve_energy(12, 4), doc)
+
+    def never(source):
+        raise AssertionError("import_energy called on a mismatched document")
+
+    monkeypatch.setattr(cli, "import_energy", never)
+    out = tmp_path / "never.csv"
+    result = invoke("simulate", "--k", "2", "--p", "2", *FAST,
+                    "--energy", str(doc), "--out", str(out))
+    assert result.exit_code == 1
+    assert ("energy document is for (k=12, p=4) but the run wants (k=2, p=2)"
+            in result.stderr)
+    assert not out.exists()
+
+
 def test_simulate_uses_validated_document(tmp_path):
     doc = tmp_path / "e22.json"
     save_energy(solve_energy(2, 2), doc)

@@ -249,6 +249,63 @@ def test_identity_grid_small(k, p):
         len(build_catalogue(k, p))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_starstar_checks_agree_with_the_expanded_power_images(p):
+    # verify_identities settles an in-class entry's check by the lemma; this
+    # oracle expands every image and classifies it term by term instead
+    for k in range(2, 9):
+        want = []
+        for entry in build_catalogue(k, p):
+            image = dt_nonlinear(entry.density, p)
+            by_term = all(classify(m, k, p) is MonomialClass.NONLINEAR_REMAINDER
+                          for m in image.monomials())
+            if (k, entry.name) == (3, "mixed_c[2]"):
+                # its image has an order-k term, which one integration by
+                # parts brings into the class
+                assert not by_term
+                sector = (2 * p + 1, 2 * p + 1, 2 * k - 2)
+                reducer = SectorReducer(
+                    ibp_generators(sector, sector[2]),
+                    lambda m: classify(m, k, p) is MonomialClass.NONLINEAR_REMAINDER)
+                in_class = reducer.reduce(image).residual.is_zero
+            else:
+                in_class = by_term
+            assert in_class, (k, entry.name)
+            want.append((f"starstar[{entry.name}] in class", "class", True, True))
+        got = [(c.identity, c.mode, c.passed, c.residual.is_zero)
+               for c in verify_identities(k, p).checks if c.identity.startswith("starstar[")]
+        assert got == want, k
+
+
+def test_only_entries_outside_the_correction_class_have_their_images_expanded(monkeypatch):
+    k, p = 2, 2
+    # the correction sector (3, 3, 2) with an order above k-1: outside the
+    # class, and its image still reduces into the nonlinear class
+    high = Density.monomial((2, 0, 0), (0, 0, 0)).re_part()
+    # the sector (3, 3, 4): its image lies in (5, 5, 4), where the nonlinear
+    # class has no monomial, and is no total derivative
+    off = Density.monomial((2, 0, 0), (2, 0, 0))
+    catalogue = build_catalogue(k, p)
+    monkeypatch.setattr(energy_module, "build_catalogue", lambda k_, p_: catalogue + [
+        energy_module.CatalogueEntry("high", high), energy_module.CatalogueEntry("off", off)])
+    expanded = []
+
+    def spy(density, p_):
+        expanded.append(density)
+        return dt_nonlinear(density, p_)
+
+    monkeypatch.setattr(energy_module, "dt_nonlinear", spy)
+    checks = {c.identity: c for c in verify_identities(k, p).checks}
+    assert expanded == [high, off]
+    for entry in catalogue:
+        check = checks[f"starstar[{entry.name}] in class"]
+        assert check.passed and check.residual.is_zero
+    assert checks["starstar[high] in class"].passed
+    assert checks["starstar[high] in class"].residual.is_zero
+    assert not checks["starstar[off] in class"].passed
+    assert not checks["starstar[off] in class"].residual.is_zero
+
+
 def test_tampered_correction_fails_its_dispersive_identity():
     # star[aligned_u[1]] at (2, 2) with the correction negated: the checker
     # must see a nonzero residual where the true correction gives zero

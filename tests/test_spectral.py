@@ -14,9 +14,21 @@ from nlsenergy.reduction import ibp_generators
 from nlsenergy.harness import hamiltonian
 from nlsenergy.spectral import (BlowupError, DensityPlan, SolverConfig,
                                 _pocketfft, evaluate_density, evaluate_real,
-                                evolve, l2_norm, momentum, plane_wave,
-                                plane_wave_solution, random_state, sobolev_norm,
-                                wavenumbers)
+                                evolve, l2_norm, plane_wave, random_state,
+                                sobolev_norm, wavenumbers)
+
+
+def plane_wave_solution(amplitude: complex, mode: int, p: int, t: float,
+                        n_modes: int) -> np.ndarray:
+    """Exact single-mode solution: the phase rotates at mode^2 + |A|^(2p)."""
+    omega = mode ** 2 + abs(amplitude) ** (2 * p)
+    return plane_wave(amplitude * np.exp(-1j * omega * t), mode, n_modes)
+
+
+def momentum(u_hat: np.ndarray) -> float:
+    """The conserved momentum 2 pi sum n |u_hat(n)|^2."""
+    n = wavenumbers(len(u_hat)).astype(float)
+    return float(2 * np.pi * np.sum(n * np.abs(u_hat) ** 2))
 
 
 class _AliasingGrid(ValueError):

@@ -10,11 +10,9 @@ from .energy import (CatalogueEntry, CorrectionReductionError, EnergyDefinition,
                      cubic_density, energy_hash, export_energy, hamiltonian_density,
                      import_energy, mass_density, quadratic_density, save_energy,
                      solve_energy, verify_exact_conservation, verify_identities)
-from .harness import (RunConfig, derivative_crosscheck, format_csv,
-                      hamiltonian, run_experiment, write_report)
+from .harness import RunConfig, format_csv, run_experiment, write_report
 from .rational import GaussianRational
 from .reduction import (MonomialClass, ReductionResult, SectorReducer, classify,
                         enumerate_monomials, ibp_generators)
-from .spectral import (BlowupError, SolverConfig, evaluate_density,
-                       evaluate_real, evolve, l2_norm, plane_wave,
-                       random_state, sobolev_norm, wavenumbers)
+from .spectral import (BlowupError, DensityPlan, SolverConfig, evolve, l2_norm,
+                       plane_wave, random_state, sobolev_norm, wavenumbers)

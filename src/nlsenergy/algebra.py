@@ -392,6 +392,10 @@ def density_to_text(e: Density) -> str:
 
 
 def density_from_text(text: str) -> Density:
+    """The density that density_to_text wrote as `text`; ValueError if the
+    text is malformed.  It is the one reader of that format, in which an
+    energy document states its densities, and is kept for readers of
+    documents although import_energy recomputes them and reads none."""
     s = text.strip()
     if s == "0":
         return Density.zero()

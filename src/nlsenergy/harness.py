@@ -23,8 +23,7 @@ from . import __version__
 from .energy import (EnergyDefinition, cubic_density, energy_hash,
                      hamiltonian_density)
 from .spectral import (DensityPlan, SolverConfig, _check_mode, _check_modes,
-                       evaluate_real, evolve, l2_norm, plane_wave, random_state,
-                       sobolev_norm)
+                       evolve, l2_norm, plane_wave, random_state, sobolev_norm)
 
 CSV_COLUMNS = ("t", "l2", "h1", "hk", "hamiltonian", "E_k", "F_k",
                "dEk_fd", "dEk_exact", "cubic_remainder", "bound_ratio")
@@ -91,15 +90,6 @@ def initial_state(config: RunConfig) -> np.ndarray:
     return random_state(config.n_modes, config.seed, config.decay, config.r_h1)
 
 
-def solver_config(config: RunConfig) -> SolverConfig:
-    return SolverConfig(n_modes=config.n_modes, dt=config.dt, p=config.p)
-
-
-def hamiltonian(u_hat: np.ndarray, p: int) -> float:
-    """The conserved Hamiltonian at one state."""
-    return evaluate_real(u_hat, hamiltonian_density(p))
-
-
 # the functionals a record evaluates at its state, in the order of the
 # record plan; "cubic" is there only when the energy has a cubic term
 _RECORD_FUNCTIONALS = ("exact", "decomposition", "E_k", "F_k", "hamiltonian", "cubic")
@@ -136,30 +126,15 @@ def _fd_derivative(u_hat: np.ndarray, energy_plan: DensityPlan, p: int,
     return (e_plus - e_minus) / (2 * fd_delta)
 
 
-def derivative_crosscheck(u_hat: np.ndarray, energy: EnergyDefinition,
-                          fd_delta: float = 2e-5, fd_substeps: int = 10) -> dict:
-    """Central finite difference of the energy along the flow vs the exact
-    symbolic derivative, plus the decomposition identity, at one state.
-
-    Compiles the plans a run would, so that a crosscheck of a run's state
-    reads the values of that run's record.
-    """
-    plans = compile_plans(energy, len(u_hat))
-    exact, residual = plans.record.evaluate_real(u_hat)[:2]
-    fd = _fd_derivative(u_hat, plans.energy, energy.p, fd_delta, fd_substeps)
-    scale = max(abs(exact), abs(fd), 1e-30)
-    return {
-        "fd": fd,
-        "exact": exact,
-        "decomposition": residual,
-        "fd_rel_error": abs(fd - exact) / scale,
-        "decomposition_rel_error": abs(residual - exact) / max(abs(exact), abs(residual), 1e-30),
-    }
-
-
 def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
             config: RunConfig, plans: RunPlans) -> dict:
-    """One record at state u_hat, from the plans of `energy`."""
+    """One record at state u_hat, from the plans of `energy`.
+
+    Besides the CSV columns, a record holds the residual decomposition of
+    dE_k/dt (`dEk_decomposition`) and the relative errors of the
+    finite-difference and decomposition crosschecks against `dEk_exact`,
+    which the `crosscheck` command prints from the t=0 record.
+    """
     k = energy.k
     # the record first: a state out of the floating-point range ends there,
     # before the norms overflow with a warning
@@ -170,7 +145,7 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
     # monitored quantity is then just |F| itself.  hk vanishes only at u = 0,
     # where F does too, and the ratio is taken as 0 there
     exponent = (2 * k - 4) / (k - 1)
-    return {
+    row = {
         "t": float(t),
         "l2": l2_norm(u_hat),
         "h1": sobolev_norm(u_hat, 1),
@@ -183,7 +158,13 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
         "dEk_exact": record["exact"],
         "cubic_remainder": float(energy.cubic_coefficient) * record.get("cubic", 0.0),
         "bound_ratio": abs(f_val) / hk ** exponent if hk else 0.0,
+        "dEk_decomposition": record["decomposition"],
     }
+    exact = row["dEk_exact"]
+    for key, value in (("fd_rel_error", row["dEk_fd"]),
+                       ("decomposition_rel_error", row["dEk_decomposition"])):
+        row[key] = abs(value - exact) / max(abs(exact), abs(value), 1e-30)
+    return row
 
 
 def run_experiment(config: RunConfig, energy: EnergyDefinition) -> list[dict]:
@@ -200,7 +181,7 @@ def run_experiment(config: RunConfig, energy: EnergyDefinition) -> list[dict]:
             f"config wants (k={config.k}, p={config.p})")
     plans = compile_plans(energy, config.n_modes)
     u_hat = initial_state(config)
-    scfg = solver_config(config)
+    scfg = SolverConfig(n_modes=config.n_modes, dt=config.dt, p=config.p)
     total_steps = max(1, round(config.t_end / config.dt))
     per_record = max(1, round(config.record_dt / config.dt))
     rows = [observe(u_hat, 0.0, energy, config, plans)]

@@ -31,9 +31,7 @@ terms exact in floating point.  A plan is compiled for one grid size:
 its grid slots, derivative multipliers and pair symbols are built with
 it, and evaluating it changes nothing.  It is an ordinary value and this
 module keeps none: a caller that evaluates the same densities at many
-states compiles their plan once and holds it, while
-:func:`evaluate_density` and :func:`evaluate_real` compile a one-density
-plan for a single evaluation.
+states compiles their plan once and holds it.
 """
 
 from __future__ import annotations
@@ -373,7 +371,7 @@ class DensityPlan:
         of each is pure floating-point residue and must sit far below the
         size of the terms summed for that value."""
         if not self.is_real_valued:
-            raise ValueError("density is not conjugation-fixed; use evaluate_density")
+            raise ValueError("density is not conjugation-fixed; use evaluate")
         return tuple(_real_part(v) for v in self.evaluate(u_hat))
 
 
@@ -385,18 +383,8 @@ def _real_part(v: DensityValue) -> float:
     return v.real
 
 
-def evaluate_density(u_hat: np.ndarray, density: Density) -> DensityValue:
-    """Exact-quadrature value of an integrated density at a state, from a
-    plan compiled for this one evaluation.
-
-    Each factor-count group is averaged on its own exact grid, and pair
-    monomials take the per-mode symbol path (exact cancellation between
-    terms of one mode, which grid quadrature cannot guarantee in floating
-    point).
-    """
-    return DensityPlan((density,), len(u_hat)).evaluate(u_hat)[0]
-
-
 def evaluate_real(u_hat: np.ndarray, density: Density) -> float:
-    """Value of a conjugation-fixed functional; see DensityPlan.evaluate_real."""
+    """Value of a conjugation-fixed functional from a one-density plan; see
+    DensityPlan.evaluate_real.  Kept because `validate_stage` in
+    perfbench/workloads.py calls it; the package evaluates through plans."""
     return DensityPlan((density,), len(u_hat)).evaluate_real(u_hat)[0]

@@ -14,13 +14,14 @@ import sympy
 
 from nlsenergy.algebra import dt_linear
 from nlsenergy.energy import (Family, basic_density, correction_density,
-                              cubic_density, dispersive_reducer, solve_energy,
+                              cubic_density, dispersive_reducer,
+                              hamiltonian_density, solve_energy,
                               verify_exact_conservation, verify_identities)
-from nlsenergy.harness import (RunConfig, derivative_crosscheck, hamiltonian,
+from nlsenergy.harness import (RunConfig, compile_plans, initial_state, observe,
                                run_experiment)
 from nlsenergy.reduction import MonomialClass, classify
-from nlsenergy.spectral import (SolverConfig, evolve, l2_norm, plane_wave,
-                                random_state)
+from nlsenergy.spectral import (DensityPlan, SolverConfig, evolve, l2_norm,
+                                plane_wave, random_state)
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,11 +148,12 @@ def test_criterion_4_solver_pillars():
     mass_drift = abs(l2_norm(v) ** 2 - l2_norm(u) ** 2) / l2_norm(u) ** 2
 
     w = random_state(32, seed=11, r_h1=3.0)
-    h0 = hamiltonian(w, 2)
+    hamiltonian = DensityPlan((hamiltonian_density(2),), 32)
+    h0 = hamiltonian.evaluate_real(w)[0]
     errs = []
     for dt, steps in ((1e-2, 100), (5e-3, 200)):
         wt = evolve(w, SolverConfig(n_modes=32, dt=dt, p=2), steps)
-        errs.append(abs(hamiltonian(wt, 2) - h0))
+        errs.append(abs(hamiltonian.evaluate_real(wt)[0] - h0))
     ratio = errs[0] / errs[1]
 
     ok = wave_err < 1e-8 and mass_drift < 1e-12 and 2.5 <= ratio <= 6.0
@@ -167,11 +169,14 @@ def test_criterion_5_derivative_crosschecks():
     worst_dec = worst_fd = 0.0
     for k in range(2, 7):
         energy = solve_energy(k, 2)
+        plans = compile_plans(energy, 64)
         for seed in range(10):
-            u = random_state(64, seed=seed)
-            cross = derivative_crosscheck(u, energy, fd_delta=2e-5, fd_substeps=10)
-            worst_dec = max(worst_dec, cross["decomposition_rel_error"])
-            worst_fd = max(worst_fd, cross["fd_rel_error"])
+            config = RunConfig(k=k, p=2, n_modes=64, seed=seed,
+                               fd_delta=2e-5, fd_substeps=10)
+            # the t=0 record of a run from random_state(64, seed)
+            record = observe(initial_state(config), 0.0, energy, config, plans)
+            worst_dec = max(worst_dec, record["decomposition_rel_error"])
+            worst_fd = max(worst_fd, record["fd_rel_error"])
     ok = worst_dec < 1e-9 and worst_fd < 1e-4
     _criterion(5, "derivative crosschecks at 50 states", ok,
                f"decomposition {worst_dec:.2e} < 1e-9, finite diff {worst_fd:.2e} < 1e-4")

@@ -13,7 +13,7 @@ from nlsenergy.algebra import Density
 from nlsenergy.cli import main
 from nlsenergy.energy import (InfeasibleSystemError, export_energy,
                               import_energy, save_energy, solve_energy)
-from nlsenergy.harness import RunConfig
+from nlsenergy.harness import RunConfig, run_experiment
 
 FAST = ["--n-modes", "16", "--dt", "1e-3", "--t-end", "0.01"]
 
@@ -202,6 +202,18 @@ def test_crosscheck_within_tolerance():
     result = invoke("crosscheck", "--k", "2", "--p", "2", "--n-modes", "32")
     assert result.exit_code == 0, result.output
     assert "within tolerance" in result.output
+
+
+def test_crosscheck_prints_the_first_record_of_the_run():
+    flags = dict(k=3, n_modes=32, seed=4, t_end=0.01)
+    result = invoke("crosscheck", *(f"--{name.replace('_', '-')}={value}"
+                                    for name, value in flags.items()))
+    assert result.exit_code == 0, result.output
+    printed = [line.split("=")[1].split()[0] for line in result.output.splitlines()[:3]]
+    first = run_experiment(RunConfig(**flags), solve_energy(3, 2))[0]
+    assert first["t"] == 0.0
+    assert printed == [f"{first[key]:+.12e}"
+                       for key in ("dEk_exact", "dEk_decomposition", "dEk_fd")]
 
 
 # the overflow that ends the run must not warn on its way to the abort

@@ -9,10 +9,9 @@ from nlsenergy import harness, spectral
 from nlsenergy.energy import (cubic_density, energy_hash, export_energy,
                               hamiltonian_density, import_energy, solve_energy)
 from nlsenergy.harness import (CSV_COLUMNS, RunConfig, compile_plans,
-                               derivative_crosscheck, format_csv, initial_state,
-                               max_bound_ratio, observe, run_experiment,
-                               write_report)
-from nlsenergy.spectral import evaluate_density, evaluate_real, random_state
+                               format_csv, initial_state, max_bound_ratio,
+                               observe, run_experiment, write_report)
+from nlsenergy.spectral import DensityPlan, random_state
 
 
 def _small_config(**overrides) -> RunConfig:
@@ -116,9 +115,16 @@ def test_initial_state_presets():
 
 def test_derivative_crosscheck_accuracy():
     energy = solve_energy(2, 2)
-    cross = derivative_crosscheck(random_state(32, seed=0), energy)
-    assert cross["fd_rel_error"] < 1e-4
-    assert cross["decomposition_rel_error"] < 1e-9
+    config = _small_config(n_modes=32, seed=0)
+    row = observe(initial_state(config), 0.0, energy, config,
+                  compile_plans(energy, config.n_modes))
+    assert row["fd_rel_error"] < 1e-4
+    assert row["decomposition_rel_error"] < 1e-9
+    assert row["fd_rel_error"] == abs(row["dEk_fd"] - row["dEk_exact"]) / max(
+        abs(row["dEk_fd"]), abs(row["dEk_exact"]))
+    assert row["decomposition_rel_error"] == abs(
+        row["dEk_decomposition"] - row["dEk_exact"]) / max(
+        abs(row["dEk_decomposition"]), abs(row["dEk_exact"]))
 
 
 def test_bound_ratio_reduces_to_abs_correction_at_k2():
@@ -182,14 +188,20 @@ def test_a_record_equals_separate_evaluations():
     config = _small_config(k=6, n_modes=64, seed=4)
     u = initial_state(config)
     row = observe(u, 0.0, energy, config, compile_plans(energy, config.n_modes))
+
+    def alone(density):
+        """The value of a one-density plan, apart from the record plan."""
+        return DensityPlan((density,), config.n_modes).evaluate(u)[0]
+
     for column, density in (("E_k", energy.energy_density()),
                             ("F_k", energy.correction),
                             ("hamiltonian", hamiltonian_density(2)),
-                            ("dEk_exact", energy.exact_derivative)):
-        scale = evaluate_density(u, density).term_scale
-        assert abs(row[column] - evaluate_real(u, density)) <= 1e-12 * scale
+                            ("dEk_exact", energy.exact_derivative),
+                            ("dEk_decomposition", energy.residual_density())):
+        value = alone(density)
+        assert abs(row[column] - value.real) <= 1e-12 * value.term_scale
     weight = float(energy.cubic_coefficient)
-    cubic = cubic_density(6, 2)
+    cubic = alone(cubic_density(6, 2))
     assert weight
-    assert abs(row["cubic_remainder"] - weight * evaluate_real(u, cubic)) <= \
-        1e-12 * abs(weight) * evaluate_density(u, cubic).term_scale
+    assert abs(row["cubic_remainder"] - weight * cubic.real) <= \
+        1e-12 * abs(weight) * cubic.term_scale

@@ -15,7 +15,7 @@ from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer,
                                  SignatureMismatchError, classify,
                                  enumerate_monomials, ibp_generators)
-from nlsenergy.spectral import evaluate_density, random_state
+from nlsenergy.spectral import DensityPlan, random_state
 
 
 def _brute_monomials(signature, max_order):
@@ -111,7 +111,7 @@ def _assert_integrates_by_parts_to_zero(expr, res):
     for sig in rest.signatures():
         assert _ibp_span(sig).reduce(rest).residual.is_zero
     for seed in range(3):
-        value = evaluate_density(random_state(16, seed), rest)
+        value = DensityPlan((rest,), 16).evaluate(random_state(16, seed))[0]
         assert abs(value) <= 1e-12 * value.term_scale
 
 

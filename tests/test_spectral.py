@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsenergy.algebra import Density, Monomial
-from nlsenergy.energy import quadratic_density, solve_energy
+from nlsenergy.energy import hamiltonian_density, quadratic_density, solve_energy
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import ibp_generators
-from nlsenergy.harness import hamiltonian
 from nlsenergy.spectral import (BlowupError, DensityPlan, SolverConfig,
-                                _pocketfft, evaluate_density, evaluate_real,
-                                evolve, l2_norm, plane_wave, random_state,
-                                sobolev_norm, wavenumbers)
+                                _pocketfft, evolve, l2_norm, plane_wave,
+                                random_state, sobolev_norm, wavenumbers)
+
+
+def _plan_value(u_hat: np.ndarray, density: Density):
+    """The value of `density` at one state, from a one-density plan."""
+    return DensityPlan((density,), len(u_hat)).evaluate(u_hat)[0]
 
 
 def plane_wave_solution(amplitude: complex, mode: int, p: int, t: float,
@@ -114,11 +117,10 @@ def test_plane_wave_matches_exact_solution():
 def test_functional_scaling_degrees():
     u = random_state(16, seed=9)
     correction = solve_energy(3, 2).correction
-    assert evaluate_real(2 * u, correction) == \
-        pytest.approx(64 * evaluate_real(u, correction), rel=1e-13)
-    quad = quadratic_density(3)
-    assert evaluate_real(2 * u, quad) == \
-        pytest.approx(4 * evaluate_real(u, quad), rel=1e-13)
+    for density, degree in ((correction, 6), (quadratic_density(3), 2)):
+        plan = DensityPlan((density,), 16)
+        assert plan.evaluate_real(2 * u)[0] == \
+            pytest.approx(2 ** degree * plan.evaluate_real(u)[0], rel=1e-13)
 
 
 def test_momentum_survives_nonlinear_evolution():
@@ -132,13 +134,13 @@ def test_momentum_survives_nonlinear_evolution():
 def test_total_derivatives_integrate_to_zero():
     u = random_state(16, seed=7)
     for g in ibp_generators((3, 3, 4), 4)[:8]:
-        assert abs(evaluate_density(u, g)) < 1e-9
+        assert abs(_plan_value(u, g)) < 1e-9
 
 
 def test_pair_symbol_path_matches_grid_quadrature():
     u = random_state(16, seed=2)
     d = quadratic_density(3) + Density.monomial((2,), (2,)) * 5
-    fast = evaluate_density(u, d)
+    fast = _plan_value(u, d)
     slow, _ = _naive_density(u, d, grid_factor=2)
     assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
@@ -148,7 +150,7 @@ def test_mass_quadrature_matches_parseval():
     n = wavenumbers(16).astype(float)
     # grid_factor 2 is the exact grid of a two-factor product, so the
     # reference takes the grid quadrature, and the plan the symbol path
-    for evaluate in (evaluate_density,
+    for evaluate in (_plan_value,
                      lambda u, d: _naive_density(u, d, grid_factor=2)[0]):
         mass = evaluate(u, Density.monomial((0,), (0,)))
         assert mass.real == pytest.approx(l2_norm(u) ** 2, rel=1e-13)
@@ -183,7 +185,7 @@ def test_energy_drift_equals_integrated_residual():
 
 def test_hamiltonian_is_positive_for_generic_data():
     u = random_state(32, seed=12)
-    assert hamiltonian(u, 2) > 0
+    assert DensityPlan((hamiltonian_density(2),), 32).evaluate_real(u)[0] > 0
 
 
 def test_blowup_is_reported():
@@ -334,7 +336,7 @@ def test_plan_matches_naive_evaluator_on_a_solved_energy():
     u = random_state(256, seed=15)
     density = solve_energy(6, 2).exact_derivative
     want, scale = _naive_density(u, density)
-    assert abs(evaluate_density(u, density) - want) <= 1e-12 * scale
+    assert abs(_plan_value(u, density) - want) <= 1e-12 * scale
 
 
 _fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -369,7 +371,7 @@ def _states(draw):
 @given(density=_densities, u_hat=_states())
 def test_plan_matches_naive_evaluator(density, u_hat):
     want, scale = _naive_density(u_hat, density)
-    got = evaluate_density(u_hat, density)
+    got = _plan_value(u_hat, density)
     assert abs(got - want) <= 1e-12 * scale
     # the term scale bounds the value and is bounded by the summed grid sizes
     assert abs(got) <= got.term_scale * (1 + 1e-12)
@@ -397,7 +399,7 @@ def test_plan_of_several_densities_matches_each_alone(densities, u_hat):
         want, scale = _naive_density(u_hat, density)
         assert abs(got - want) <= 1e-12 * scale
         assert got.term_scale == pytest.approx(
-            evaluate_density(u_hat, density).term_scale, rel=1e-12, abs=0)
+            _plan_value(u_hat, density).term_scale, rel=1e-12, abs=0)
         assert got.term_scale <= scale * (1 + 1e-12)
 
 
@@ -405,9 +407,9 @@ def test_imaginary_residue_is_measured_against_the_term_scale():
     u = random_state(32, seed=8, r_h1=3.0)
     sextic = Density.monomial((0, 0, 0), (0, 0, 0))
     density = Density.monomial((1,), (1,)) + sextic * Fraction(1, 3)
-    scale = evaluate_density(u, density).term_scale
+    scale = _plan_value(u, density).term_scale
     assert scale > 1.0
-    sextic_value = evaluate_real(u, sextic)
+    sextic_value = _plan_value(u, sextic).real
     # an imaginary part delta of the |u|^6 coefficient adds delta * sextic_value
     plan = DensityPlan((density,), 32)
     group = plan.groups[0]
@@ -428,7 +430,7 @@ def test_each_value_of_a_plan_is_checked_against_its_own_term_scale():
     large_scale, scale = (v.term_scale for v in plan.evaluate(u))
     assert large_scale > 1e6 * scale
     # a residue far below the large density's terms, far above the sextic's
-    plan.groups[0].coeffs[1, 0] = 1 + 1j * 1e-7 * scale / evaluate_real(u, sextic)
+    plan.groups[0].coeffs[1, 0] = 1 + 1j * 1e-7 * scale / _plan_value(u, sextic).real
     with pytest.raises(ArithmeticError):
         plan.evaluate_real(u)
     with pytest.raises(ValueError):

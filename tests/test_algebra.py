@@ -6,6 +6,7 @@ independent implementation.
 """
 
 import copy
+import functools
 import pickle
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from nlsenergy.algebra import (Density, Monomial, _monomial, _power_derivative,
                                density_from_text, density_to_text,
                                dt_evolution, dt_linear, dt_nonlinear)
+from nlsenergy.energy import solve_energy
 from nlsenergy.rational import GaussianRational, I
 
 
@@ -249,15 +251,16 @@ def _naive_dt_nonlinear(e: Density, p: int) -> Density:
     for m, c in e.terms():
         for idx, a in enumerate(m.u_orders):
             rest = m.u_orders[:idx] + m.u_orders[idx + 1:]
-            for uo, co, w in _power_derivative(p, a):
+            for uo, co, w in _naive_power_derivative(p, a):
                 pairs.append((Monomial(rest + uo, m.c_orders + co), c * (-I) * w))
         for idx, a in enumerate(m.c_orders):
             rest = m.c_orders[:idx] + m.c_orders[idx + 1:]
-            for uo, co, w in _power_derivative(p, a):
+            for uo, co, w in _naive_power_derivative(p, a):
                 pairs.append((Monomial(m.u_orders + co, rest + uo), c * I * w))
     return Density.from_terms(pairs)
 
 
+@functools.lru_cache(maxsize=None)
 def _naive_power_derivative(p: int, order: int):
     """Reference for _power_derivative: the expansion from order 0, every
     factor bumped in turn, equal factors included."""
@@ -280,7 +283,17 @@ def _naive_power_derivative(p: int, order: int):
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_power_derivative_matches_the_expansion_from_order_zero(p):
     for order in range(11):
-        assert _power_derivative(p, order) == _naive_power_derivative(p, order)
+        # the grouped form, flattened: every pair of a plain and a conjugated
+        # block of one split is one term
+        flat = {}
+        for binom, u_blocks, c_blocks in _power_derivative(p, order):
+            for uo, wu in u_blocks:
+                assert uo == tuple(sorted(uo, reverse=True)) and len(uo) == p + 1
+                for co, wc in c_blocks:
+                    assert (uo, co) not in flat
+                    flat[uo, co] = binom * wu * wc
+        want = {(uo, co): w for uo, co, w in _naive_power_derivative(p, order)}
+        assert flat == want
 
 
 _fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -298,10 +311,28 @@ _densities = st.lists(
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(density=_densities, p=st.sampled_from([2, 3]))
+@given(density=_densities, p=st.sampled_from([2, 3, 4, 5]))
 def test_substitutions_match_the_per_term_formulas(density, p):
     assert dt_nonlinear(density, p) == _naive_dt_nonlinear(density, p)
     assert dt_linear(density) == _naive_dt_linear(density)
+
+
+def test_power_image_of_a_solved_correction_matches_the_per_term_formula():
+    correction = solve_energy(12, 4).correction
+    assert dt_nonlinear(correction, 4) == _naive_dt_nonlinear(correction, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(density=_densities, p=st.sampled_from([2, 3, 4, 5]))
+def test_substituted_monomials_are_built_as_monomial_builds_them(density, p):
+    # the images are built from interned blocks, not through Monomial: each
+    # must still be canonical, with the hash and sort key of a checked build
+    for image in (dt_nonlinear(density, p), dt_linear(density)):
+        for m in image.monomials():
+            checked = Monomial(m.u_orders[::-1], m.c_orders[::-1])
+            assert (m.u_orders, m.c_orders) == (checked.u_orders, checked.c_orders)
+            assert m == checked and hash(m) == hash(checked)
+            assert m.sort_key() == checked.sort_key()
 
 
 def test_substitutions_match_on_conjugated_and_plain_factors():

@@ -19,14 +19,16 @@ along the two halves of the defocusing evolution
 
 :func:`dt_linear` substitutes only the dispersive half (dt u -> i d^2[u]),
 :func:`dt_nonlinear` only the power half, expanded with the Leibniz rule.
-Their sum is the full formal time derivative of the density.
+Their sum, :func:`dt_evolution`, is the full formal time derivative of
+the density.
 
-Both build no monomial per term of the expansion.  Within one call every
-order block they produce is sorted once and interned as a small int, the
-integer numerators of the real and imaginary parts accumulate on pairs of
-block ids over the common denominator of the input's coefficients, and
-each distinct output monomial is built once, at the end, from its two
-canonical blocks.
+All three run one substitution frame, each with its own image of a
+factor, and build no monomial per term of the expansion.  Within one call
+every order block they produce is sorted once and interned as a small
+int, the integer numerators of the real and imaginary parts accumulate on
+pairs of block ids over the common denominator of the input's
+coefficients, and each distinct output monomial is built once, at the
+end, from its two canonical blocks.
 """
 
 from __future__ import annotations
@@ -73,10 +75,6 @@ class Monomial:
     def signature(self) -> tuple[int, int, int]:
         """(#unconjugated factors, #conjugated factors, total derivative order)."""
         return self._key[:3]
-
-    @property
-    def total_order(self) -> int:
-        return self._key[2]
 
     @property
     def max_order(self) -> int:
@@ -266,14 +264,6 @@ def _intern(ids: dict[tuple[int, ...], int], block: tuple[int, ...]) -> int:
     return i
 
 
-def _bumped(orders: tuple[int, ...], idx: int, amount: int) -> tuple[int, ...]:
-    """The canonical block with `amount` added to the order at `idx`."""
-    lst = list(orders)
-    lst[idx] += amount
-    lst.sort(reverse=True)
-    return tuple(lst)
-
-
 def _merged(ids: dict[tuple[int, ...], int], base: tuple[int, ...],
             blocks: tuple[tuple[tuple[int, ...], int], ...], shift: int) -> list[tuple[int, int]]:
     """(id << shift of the canonical union of `base` and each block, its weight)."""
@@ -298,6 +288,29 @@ def _collect(ids: dict[tuple[int, ...], int], re_acc: dict[int, int],
     return Density(acc)
 
 
+def bounded_partitions(total: int, count: int, cap: int, max_nonzero: int | None = None):
+    """Descending tuples of `count` ints in [0, cap] summing to `total`,
+    with at most `max_nonzero` nonzero entries if it is given.
+
+    Yielded in lexicographically decreasing order.  A branch that cannot
+    reach `total` within the remaining nonzero entries is never entered, so
+    every prefix the walk visits extends to a tuple it yields.
+    """
+    if max_nonzero is None or max_nonzero > count:
+        max_nonzero = count
+    if max_nonzero < 0:
+        return
+    if total == 0:
+        yield (0,) * count
+        return
+    for first in range(min(cap, total), 0, -1):
+        # the nonzero entries are a prefix, none larger than `first`
+        if first * max_nonzero < total:
+            break
+        for rest in bounded_partitions(total - first, count - 1, first, max_nonzero - 1):
+            yield (first,) + rest
+
+
 # one entry per (m, n): verify on k 2..20 x p 2..5 fills 105 of them, 0.7 MB.
 # No entry is built from another, so the bound never forces a rebuild chain
 @functools.lru_cache(maxsize=256)
@@ -310,7 +323,7 @@ def _power_blocks(m: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     orders on the m equal factors.
     """
     out = []
-    for orders in _partitions(n, m, n):
+    for orders in bounded_partitions(n, m, n):
         w = math.factorial(n) * math.factorial(m)
         for o in orders:
             w //= math.factorial(o)
@@ -318,18 +331,6 @@ def _power_blocks(m: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
             w //= math.factorial(orders.count(o))
         out.append((orders, w))
     return tuple(out)
-
-
-def _partitions(n: int, m: int, top: int):
-    """Descending m-tuples of ints in [0, top] summing to n."""
-    if m == 1:
-        if n <= top:
-            yield (n,)
-        return
-    # the largest part is at least the mean
-    for first in range(min(n, top), -(-n // m) - 1, -1):
-        for rest in _partitions(n - first, m - 1, first):
-            yield (first,) + rest
 
 
 def _power_derivative(p: int, order: int) -> tuple[
@@ -346,89 +347,76 @@ def _power_derivative(p: int, order: int) -> tuple[
                  for s in range(order + 1))
 
 
-def dt_linear(e: Density) -> Density:
-    """Formal time derivative along dt u = i d^2[u].
-
-    Each factor in turn gains two derivative orders; the coefficient picks up
-    +i for an unconjugated factor and -i for a conjugated one.  Raises the
-    total derivative order of every term by exactly two.  Equal factors are
-    bumped once, weighted by their multiplicity, and the images accumulate
-    on interned order blocks, as in :func:`dt_nonlinear`.
-    """
-    denom = math.lcm(*(c._den for c in e._terms.values()))
-    ids: dict[tuple[int, ...], int] = {}
-    re_acc: dict[int, int] = {}
-    im_acc: dict[int, int] = {}
-    for m, c in e._terms.items():
-        scale = denom // c._den
-        x = c._re * scale
-        y = c._im * scale
-        u, v = m.u_orders, m.c_orders
-        # +i (x + iy) = -y + ix on a plain factor, -i (x + iy) = y - ix on a
-        # conjugated one
-        u_id, v_id = _intern(ids, u), _intern(ids, v)
-        keys = [(_intern(ids, _bumped(u, idx, 2)) << _ID_BITS | v_id, -u.count(a))
-                for idx, a in enumerate(u) if not idx or u[idx - 1] != a]
-        keys += [(u_id << _ID_BITS | _intern(ids, _bumped(v, idx, 2)), v.count(a))
-                 for idx, a in enumerate(v) if not idx or v[idx - 1] != a]
-        for key, n in keys:
-            if y:
-                re_acc[key] = re_acc.get(key, 0) + n * y
-            if x:
-                im_acc[key] = im_acc.get(key, 0) - n * x
-    return _collect(ids, re_acc, im_acc, denom)
+# the block that leaves a side of the product unchanged
+_KEEP = (((), 1),)
 
 
-def dt_nonlinear(e: Density, p: int) -> Density:
-    """Formal time derivative along dt u = -i u^{p+1} conj(u)^p.
+def _linear_image(a: int):
+    """d^a[u] -> i d^{a+2}[u] = -(-i) d^{a+2}[u], as `_substituted` takes it."""
+    return ((-1, (((a + 2,), 1),), _KEEP),)
 
-    The substituted factor d^a[u] becomes -i d^a[u^{p+1} conj(u)^p], expanded
-    by the Leibniz rule (conjugated factors get +i and the mirrored power).
-    Preserves the total derivative order; each term gains p unconjugated and
-    p conjugated factors.
 
-    No monomial is built per Leibniz term.  Equal factors are substituted
-    once, weighted by their multiplicity.  Each merged order block (the
-    factors left beside the substituted one, with a block of the power) is
-    sorted once and interned as a small int, and the integer numerators of
-    both parts, over the common denominator of every coefficient, accumulate
-    on pairs of block ids.  Each distinct output monomial is built once, at
-    the end, from its two canonical blocks.
-    """
+def _power_image(p: int):
+    """d^a[u] -> -i d^a[u^{p+1} conj(u)^p] as a function of a: the power
+    derivative is already in the pieces `_substituted` takes."""
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"nonlinearity exponent p must be an int >= 2, got {p!r}")
+    return functools.partial(_power_derivative, p)
+
+
+def _substituted(e: Density, image) -> Density:
+    """The sum over every factor of every term of `e` of the term with
+    that factor replaced by its image.
+
+    `image(a)` gives the image of a plain factor d^a[u] as pieces `(f, own,
+    other)`: -f i times every product of a block of `own`, joined to the
+    plain factors left, and a block of `other`, joined to the conjugated
+    factors, weighted by both block weights.  A conjugated factor's image
+    is the mirror and conjugate: +f i, `own` joined to the conjugated
+    factors.
+
+    Each order's image is built once per call, and equal factors are
+    substituted once, weighted by their multiplicity.  Merged order blocks
+    are sorted once and interned as small ints, and the integer numerators
+    of both parts, over the common denominator of every coefficient,
+    accumulate on pairs of block ids: each distinct output monomial is
+    built once, at the end.
+    """
     denom = math.lcm(*(c._den for c in e._terms.values()))
     ids: dict[tuple[int, ...], int] = {}
     re_acc: dict[int, int] = {}
     im_acc: dict[int, int] = {}
+    images: dict[int, tuple] = {}
     for m, c in e._terms.items():
         scale = denom // c._den
         x = c._re * scale
         y = c._im * scale
         u, v = m.u_orders, m.c_orders
-        # a plain factor d^a[u] becomes -i d^a[u^{p+1} conj(u)^p]: the p+1
-        # plain power factors join the rest of u, the p conjugated ones join
-        # v.  A conjugated factor becomes +i d^a[conj(u)^{p+1} u^p], mirrored
         for sign, own, other, own_shift, other_shift in ((-1, u, v, _ID_BITS, 0),
                                                          (1, v, u, 0, _ID_BITS)):
             # `other` stays whole in every substitution on this side, so its
-            # merge with each p-factor power block is made once
+            # merge with each block tuple is made once; `images` keeps the
+            # tuples alive, so their ids name them for the whole call
             fixed: dict[int, list[tuple[int, int]]] = {}
             for idx, a in enumerate(own):
                 if idx and own[idx - 1] == a:
                     continue
+                pieces = images.get(a)
+                if pieces is None:
+                    pieces = images[a] = image(a)
                 rest = own[:idx] + own[idx + 1:]
                 weight = sign * own.count(a)
-                for s, (binom, own_blocks, other_blocks) in enumerate(_power_derivative(p, a)):
+                for f, own_blocks, other_blocks in pieces:
                     mine = _merged(ids, rest, own_blocks, own_shift)
-                    theirs = fixed.get(a - s)
+                    theirs = fixed.get(id(other_blocks))
                     if theirs is None:
-                        theirs = fixed[a - s] = _merged(ids, other, other_blocks, other_shift)
-                    # i W (x + iy) = -W y + i W x, W = weight * binom * w_u * w_c
+                        theirs = fixed[id(other_blocks)] = _merged(
+                            ids, other, other_blocks, other_shift)
+                    # i W (x + iy) = -W y + i W x, W = weight * f * both block weights
                     if y:
-                        _spread(re_acc, mine, theirs, -weight * binom * y)
+                        _spread(re_acc, mine, theirs, -weight * f * y)
                     if x:
-                        _spread(im_acc, mine, theirs, weight * binom * x)
+                        _spread(im_acc, mine, theirs, weight * f * x)
     return _collect(ids, re_acc, im_acc, denom)
 
 
@@ -443,9 +431,32 @@ def _spread(acc: dict[int, int], outer: list[tuple[int, int]],
             acc[key] = acc.get(key, 0) + f * w2
 
 
+def dt_linear(e: Density) -> Density:
+    """Formal time derivative along dt u = i d^2[u].
+
+    Each factor in turn gains two derivative orders; the coefficient picks up
+    +i for an unconjugated factor and -i for a conjugated one.  Raises the
+    total derivative order of every term by exactly two.
+    """
+    return _substituted(e, _linear_image)
+
+
+def dt_nonlinear(e: Density, p: int) -> Density:
+    """Formal time derivative along dt u = -i u^{p+1} conj(u)^p.
+
+    The substituted factor d^a[u] becomes -i d^a[u^{p+1} conj(u)^p], expanded
+    by the Leibniz rule (conjugated factors get +i and the mirrored power).
+    Preserves the total derivative order; each term gains p unconjugated and
+    p conjugated factors.
+    """
+    return _substituted(e, _power_image(p))
+
+
 def dt_evolution(e: Density, p: int) -> Density:
-    """Full formal time derivative along the defocusing evolution."""
-    return dt_linear(e) + dt_nonlinear(e, p)
+    """Full formal time derivative along the defocusing evolution: both
+    images of each factor, substituted in one pass."""
+    power = _power_image(p)
+    return _substituted(e, lambda a: _linear_image(a) + power(a))
 
 
 # -- text serialization -----------------------------------------------------

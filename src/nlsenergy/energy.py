@@ -30,7 +30,8 @@ from pathlib import Path
 from .algebra import (Density, Monomial, density_to_text, dt_evolution,
                       dt_linear, dt_nonlinear)
 from .rational import GaussianRational
-from .reduction import MonomialClass, SectorReducer, classify, ibp_generators
+from .reduction import (MonomialClass, SectorReducer, classify, ibp_generators,
+                        reduce_by_sector)
 
 SCHEMA_VERSION = 1
 
@@ -197,7 +198,7 @@ def dispersive_reducer(k: int, p: int) -> SectorReducer:
     # four or more derivative-bearing factors differentiates into terms with
     # at least as many, all allowed, so those products are never walked
     return SectorReducer(
-        ibp_generators((p + 1, p + 1, 2 * k), 2 * k, max_derivative_factors=3),
+        ibp_generators((p + 1, p + 1, 2 * k), max_derivative_factors=3),
         _in_class(k, p, MonomialClass.QUARTIC_REMAINDER))
 
 
@@ -252,19 +253,20 @@ def _split_real_rows(columns: list[Density], rhs: Density) -> list[list[int]]:
     return rows
 
 
-def _solve_pinned(rows: list[list[int]], n: int,
-                  column_order: list[int]) -> tuple[list[Fraction], list[list[int]]]:
-    """Gauss-Jordan elimination; free unknowns (in the given order) pinned to 0.
+def _solve_pinned(rows: list[list[int]], n: int) -> tuple[
+        list[Fraction], list[list[int]], list[int]]:
+    """Gauss-Jordan elimination in column order; free unknowns pinned to 0.
 
     Rows stay integral: a pivot row P clears its column from a row R as
     a*R - b*P with a/b = P[col]/R[col] in lowest terms, and each new row
-    is divided by the gcd of its entries.  Returns the solution and the
-    unsatisfied rows.
+    is divided by the gcd of its entries.  Returns the solution, the
+    unsatisfied rows and the pivot columns.  A column is a pivot exactly
+    when it lies outside the span of the columns before it.
     """
     rows = list(rows)  # rows are replaced, never changed in place
     assigned: dict[int, int] = {}  # column -> pivot row index
     used_rows: set[int] = set()
-    for col in column_order:
+    for col in range(n):
         pivot_row = None
         for ridx, r in enumerate(rows):
             if ridx not in used_rows and r[col]:
@@ -293,7 +295,7 @@ def _solve_pinned(rows: list[list[int]], n: int,
         # so the pivot value is the right-hand side over the pivot entry
         solution[col] = Fraction(rows[ridx][n], rows[ridx][col])
     leftover = [r for ridx, r in enumerate(rows) if ridx not in used_rows and r[n]]
-    return solution, leftover
+    return solution, leftover, list(assigned)
 
 
 def solve_energy(k: int, p: int) -> EnergyDefinition:
@@ -302,7 +304,8 @@ def solve_energy(k: int, p: int) -> EnergyDefinition:
     Results are not cached: every call solves afresh, so a caller keeps
     the energy it needs.  Raises InfeasibleSystemError if no exact solution
     exists (the solver is generic; solvability for each supported (k, p) is
-    what the oracle and acceptance suites establish).
+    what the oracle and acceptance suites establish), or if the cubic
+    weight is not the same in every solution.
     """
     catalogue = build_catalogue(k, p)
     reducer = dispersive_reducer(k, p)
@@ -313,23 +316,18 @@ def solve_energy(k: int, p: int) -> EnergyDefinition:
     if k % 3 == 0:
         columns.append(-1 * reducer.reduce(cubic_density(k, p)).residual)
     n = len(columns)
-    rows = _split_real_rows(columns, rhs)
-    solution, leftover = _solve_pinned(rows, n, list(range(n)))
+    solution, leftover, pivots = _solve_pinned(_split_real_rows(columns, rhs), n)
     if leftover:
         raise InfeasibleSystemError(
             f"cancellation system for (k={k}, p={p}) is infeasible; "
             f"{len(leftover)} unsatisfied equations", -1 * rhs)
-    # the surviving cubic weight must not depend on which unknowns were pinned
-    alt, alt_left = _solve_pinned(rows, n, list(range(n - 1, -1, -1)))
-    if alt_left:
+    # the cubic column comes last: it is a pivot exactly when it lies outside
+    # the span of the catalogue columns, so that every solution, whichever
+    # unknowns are pinned, has the same cubic weight
+    if k % 3 == 0 and n - 1 not in pivots:
         raise InfeasibleSystemError(
-            f"cancellation system for (k={k}, p={p}) is infeasible when solved "
-            f"in reverse pivot order; {len(alt_left)} unsatisfied equations", -1 * rhs)
-    if k % 3 == 0 and solution[-1] != alt[-1]:
-        raise InfeasibleSystemError(
-            f"cubic weight for (k={k}, p={p}) depends on the tie-break: "
-            f"{solution[-1]} or {alt[-1]}",
-            cubic_density(k, p) * (solution[-1] - alt[-1]))
+            f"cubic weight for (k={k}, p={p}) depends on the tie-break: the cubic "
+            f"column lies in the span of the catalogue columns", cubic_density(k, p))
 
     coefficients = {entry.name: value for entry, value in zip(catalogue, solution)}
     energy = _assemble(k, p, coefficients, _combine(catalogue, coefficients), power)
@@ -383,9 +381,10 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
     # and every order at most k-1: the image is its own nonlinear remainder
     residual_nonlinear = dt_nonlinear(correction, p)
     # d/dt (quadratic + F) from the parts built above: `total` holds the
-    # power part of |d^k u|^2 and the dispersive part of F
-    exact = (dt_linear(quadratic_density(k)) + dt_nonlinear(mass_density(), p)
-             + total + residual_nonlinear)
+    # power part of |d^k u|^2 and the dispersive part of F, and the power
+    # part of the mass is zero.  The small summands are added into the
+    # large expanded image, not it into them
+    exact = residual_nonlinear + total + dt_linear(quadratic_density(k))
     return EnergyDefinition(
         k=k, p=p, coefficients=dict(coefficients), correction=correction,
         residual_quartic=residual_quartic, residual_nonlinear=residual_nonlinear,
@@ -403,12 +402,8 @@ def verify_exact_conservation(p: int) -> dict[str, Density]:
     """
     out = {}
     for name, dens in (("mass", mass_density()), ("hamiltonian", hamiltonian_density(p))):
-        deriv = dt_evolution(dens, p)
-        for sig in sorted(deriv.signatures()):
-            part = Density.from_terms(
-                (m, c) for m, c in deriv.terms() if m.signature == sig)
-            res = SectorReducer(ibp_generators(sig, sig[2])).reduce(part)
-            out[f"{name} sector {sig}"] = res.residual
+        for sig, residual in reduce_by_sector(dt_evolution(dens, p)).items():
+            out[f"{name} sector {sig}"] = residual
     return out
 
 
@@ -516,6 +511,12 @@ def verify_identities(k: int, p: int) -> IdentityReport:
     def exact(identity: str, delta: Density):
         checks.append(IdentityCheck(identity, "exact", delta.is_zero, delta))
 
+    def modulo_parts(identity: str, mode: str, delta: Density, allowed=None):
+        residual = Density.zero()
+        for part in reduce_by_sector(delta, allowed).values():
+            residual = residual + part
+        checks.append(IdentityCheck(identity, mode, residual.is_zero, residual))
+
     for identity, (family, h), rhs in _star_identity_table(k, p):
         delta = dt_linear(correction_density(family, k, h, p))
         for coeff, bf, bh in rhs:
@@ -545,9 +546,7 @@ def verify_identities(k: int, p: int) -> IdentityReport:
                  + correction_density(Family.ALIGNED_U, k, 1, p)
                  + correction_density(Family.MIXED_C, k, 1, p) * (p + 1)
                  + extra * (p - 1))
-        res = SectorReducer(ibp_generators((p + 1, p + 1, 4), 4)).reduce(delta)
-        checks.append(IdentityCheck("mixed_c[2] rewrite (k=3)", "ibp",
-                                    res.residual.is_zero, res.residual))
+        modulo_parts("mixed_c[2] rewrite (k=3)", "ibp", delta)
     if r == 1:
         exact("basic mixed_u[m] == aligned_c[m] (k=3m+1)",
               basic_density(Family.MIXED_U, k, m, p)
@@ -567,19 +566,10 @@ def verify_identities(k: int, p: int) -> IdentityReport:
             # has signature (2p+1, 2p+1, 2k-2) and every order at most k-1
             checks.append(IdentityCheck(identity, "class", True, Density.zero()))
             continue
-        # only mixed_c[2] at k=3 leaves the correction class.  Integration by
-        # parts keeps a sector, so each sector of the image is reduced on its
-        # own; an echelon this small (10 generators for mixed_c[2]) is built
-        # once, uncached
-        image = dt_nonlinear(entry.density, p)
-        residual = Density.zero()
-        for sector in sorted(image.signatures()):
-            part = Density.from_terms(
-                (mm, c) for mm, c in image.terms() if mm.signature == sector)
-            residual = residual + SectorReducer(
-                ibp_generators(sector, sector[2]),
-                _in_class(k, p, MonomialClass.NONLINEAR_REMAINDER)).reduce(part).residual
-        checks.append(IdentityCheck(identity, "class", residual.is_zero, residual))
+        # only mixed_c[2] at k=3 leaves the correction class; the echelon of
+        # its image's one sector is small (10 generators) and uncached
+        modulo_parts(identity, "class", dt_nonlinear(entry.density, p),
+                     _in_class(k, p, MonomialClass.NONLINEAR_REMAINDER))
     return IdentityReport(k, p, checks)
 
 

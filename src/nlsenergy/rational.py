@@ -53,6 +53,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the triple; __setattr__ refuses slot restores
+        return _make, (self._re, self._im, self._den)
+
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):

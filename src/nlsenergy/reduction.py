@@ -36,7 +36,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .algebra import Density, Monomial, _monomial
+from .algebra import Density, Monomial, _monomial, bounded_partitions
 from .rational import GaussianRational, _reduced
 
 Signature = tuple[int, int, int]
@@ -44,29 +44,6 @@ Signature = tuple[int, int, int]
 
 class SignatureMismatchError(ValueError):
     """Inputs of a sector computation mix different signatures."""
-
-
-def bounded_partitions(total: int, count: int, cap: int, max_nonzero: int | None = None):
-    """Descending tuples of `count` ints in [0, cap] summing to `total`,
-    with at most `max_nonzero` nonzero entries if it is given.
-
-    Yielded in lexicographically decreasing order.  A branch that cannot
-    reach `total` within the remaining nonzero entries is never entered, so
-    every prefix the walk visits extends to a tuple it yields.
-    """
-    if max_nonzero is None or max_nonzero > count:
-        max_nonzero = count
-    if max_nonzero < 0:
-        return
-    if total == 0:
-        yield (0,) * count
-        return
-    for first in range(min(cap, total), 0, -1):
-        # the nonzero entries are a prefix, none larger than `first`
-        if first * max_nonzero < total:
-            break
-        for rest in bounded_partitions(total - first, count - 1, first, max_nonzero - 1):
-            yield (first,) + rest
 
 
 def enumerate_monomials(signature: Signature, max_order: int,
@@ -93,25 +70,24 @@ def enumerate_monomials(signature: Signature, max_order: int,
     return out
 
 
-def ibp_generators(signature: Signature, max_order: int,
+def ibp_generators(signature: Signature,
                    max_derivative_factors: int | None = None) -> list[Density]:
     """Total-derivative relations spanning the IBP subspace of a sector.
 
     One generator per product of signature (n_u, n_c, total-1): the Leibniz
-    expansion of its derivative, all coefficients +1.  With the default cap
-    max_order = total this is the complete IBP span of the sector.  A
-    caller leaves out the products whose every Leibniz term is in its
-    allowed class, since their generators project to zero, by
-    `max_derivative_factors`: it limits the products walked to those with
-    at most that many derivative-bearing factors (the rest are never
-    enumerated).
+    expansion of its derivative, all coefficients +1.  Uncapped, this is
+    the complete IBP span of the sector.  A caller leaves out the products
+    whose every Leibniz term is in its allowed class, since their
+    generators project to zero, by `max_derivative_factors`: it limits the
+    products walked to those with at most that many derivative-bearing
+    factors (the rest are never enumerated).
     """
     n_u, n_c, total = signature
     if total == 0:
         return []
     counts = [GaussianRational(n) for n in range(n_u + n_c + 1)]
     gens = []
-    for base in enumerate_monomials((n_u, n_c, total - 1), max_order - 1,
+    for base in enumerate_monomials((n_u, n_c, total - 1), total - 1,
                                     max_derivative_factors):
         # the terms of equal factors coincide, so each term's coefficient
         # is its multiplicity
@@ -239,7 +215,7 @@ class SectorReducer:
         allowed = self.allowed
         row: dict[Monomial, GaussianRational] = {}
         alw: dict[Monomial, GaussianRational] = {}
-        for m, c in d.terms():
+        for m, c in d._terms.items():
             (alw if allowed(m) else row)[m] = c
         return row, alw
 
@@ -269,3 +245,19 @@ class SectorReducer:
         residual = {pivot: row.pop(pivot) for pivot in self._eliminate(row, alw)}
         return ReductionResult(Density(residual), Density(alw))
 
+
+
+def reduce_by_sector(expr: Density,
+                     allowed: Callable[[Monomial], bool] | None = None) -> dict[Signature, Density]:
+    """The residual of each sector of `expr` modulo its full IBP span and
+    the `allowed` monomials, keyed by signature in sorted order.
+
+    Integration by parts keeps a sector, so `expr` is split by signature
+    in one pass and each part is reduced on its own, by an echelon built
+    for this call.
+    """
+    parts: dict[Signature, dict[Monomial, GaussianRational]] = {}
+    for m, c in expr._terms.items():
+        parts.setdefault(m.signature, {})[m] = c
+    return {sig: SectorReducer(ibp_generators(sig), allowed).reduce(Density(parts[sig])).residual
+            for sig in sorted(parts)}

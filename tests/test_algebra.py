@@ -152,6 +152,8 @@ def test_power_substitution_validates_exponent():
         dt_nonlinear(Density.monomial((1,), (1,)), 1)
     with pytest.raises(ValueError):
         dt_nonlinear(Density.monomial((1,), (1,)), 2.0)
+    with pytest.raises(ValueError):
+        dt_evolution(Density.monomial((1,), (1,)), 1)
 
 
 # -- sympy oracle -----------------------------------------------------------
@@ -315,6 +317,9 @@ _densities = st.lists(
 def test_substitutions_match_the_per_term_formulas(density, p):
     assert dt_nonlinear(density, p) == _naive_dt_nonlinear(density, p)
     assert dt_linear(density) == _naive_dt_linear(density)
+    # both images in one pass
+    assert dt_evolution(density, p) == \
+        _naive_dt_linear(density) + _naive_dt_nonlinear(density, p)
 
 
 def test_power_image_of_a_solved_correction_matches_the_per_term_formula():

@@ -1,7 +1,9 @@
 """Catalogue construction, solved energies, identity grid, serialization."""
 
 import ast
+import copy
 import gc
+import pickle
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +27,8 @@ from nlsenergy.energy import (EnergyDocumentError, Family,
                               verify_exact_conservation, verify_identities)
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer, classify,
-                                 enumerate_monomials, ibp_generators)
+                                 enumerate_monomials, ibp_generators,
+                                 reduce_by_sector)
 
 DATA = Path(__file__).parent / "data"
 
@@ -222,18 +225,15 @@ def test_power_image_of_a_correction_lies_in_the_nonlinear_remainder_class(case)
 def test_exact_derivative_equals_residuals_modulo_parts(k, p):
     energy = solve_energy(k, p)
     delta = energy.exact_derivative - energy.residual_density()
-    for sig in sorted(delta.signatures()):
-        part = Density.from_terms(
-            (m, c) for m, c in delta.terms() if m.signature == sig)
-        res = SectorReducer(ibp_generators(sig, sig[2])).reduce(part)
-        assert res.residual.is_zero, f"sector {sig} leftover"
+    for sig, residual in reduce_by_sector(delta).items():
+        assert residual.is_zero, f"sector {sig} leftover"
 
 
 def test_hk_derivative_linear_part_integrates_to_zero():
     for k in (2, 3, 4):
         flow = dt_linear(Density.monomial((k,), (k,)))
         sig = (1, 1, 2 * k + 2)
-        res = SectorReducer(ibp_generators(sig, sig[2])).reduce(flow)
+        res = SectorReducer(ibp_generators(sig)).reduce(flow)
         assert res.residual.is_zero
 
 
@@ -265,7 +265,7 @@ def test_starstar_checks_agree_with_the_expanded_power_images(p):
                 assert not by_term
                 sector = (2 * p + 1, 2 * p + 1, 2 * k - 2)
                 reducer = SectorReducer(
-                    ibp_generators(sector, sector[2]),
+                    ibp_generators(sector),
                     lambda m: classify(m, k, p) is MonomialClass.NONLINEAR_REMAINDER)
                 in_class = reducer.reduce(image).residual.is_zero
             else:
@@ -369,6 +369,13 @@ PINNED_HASHES = {
 @pytest.mark.parametrize("k,p", sorted(PINNED_HASHES))
 def test_energy_hash_is_pinned(k, p):
     assert energy_hash(solve_energy(k, p)) == PINNED_HASHES[(k, p)]
+
+
+def test_a_solved_energy_survives_copy_and_pickle():
+    energy = solve_energy(12, 4)
+    for twin in (copy.deepcopy(energy), pickle.loads(pickle.dumps(energy))):
+        assert twin == energy
+        assert energy_hash(twin) == PINNED_HASHES[(12, 4)]
 
 
 def _flip_coefficient(doc):
@@ -526,7 +533,7 @@ def test_import_rejects_an_equivalent_rewrite_of_the_correction():
     shift = _parts_shift(Monomial((2, 2, 0), (1, 0, 0))).re_part()
     # a total derivative inside the correction sector: the same energy
     # modulo integration by parts, but not the one the coefficients state
-    assert SectorReducer(ibp_generators((3, 3, 6), 6)).reduce(shift).residual.is_zero
+    assert SectorReducer(ibp_generators((3, 3, 6))).reduce(shift).residual.is_zero
     shifted = _assemble(4, 2, energy.coefficients, energy.correction + shift,
                         _POWER_4_2)
     with pytest.raises(EnergyDocumentError, match="F_k"):
@@ -538,9 +545,9 @@ def test_rejecting_a_perturbed_coefficient_builds_no_ibp_generators(monkeypatch)
     doc["coefficients"]["mixed_u[1]"] = str(Fraction(doc["coefficients"]["mixed_u[1]"]) + 1)
     built = []
 
-    def counting_generators(sector, order, **kwargs):
+    def counting_generators(sector, **kwargs):
         built.append(sector)
-        return ibp_generators(sector, order, **kwargs)
+        return ibp_generators(sector, **kwargs)
 
     monkeypatch.setattr(energy_module, "ibp_generators", counting_generators)
     # a cached echelon would hide a build; its next user rebuilds it
@@ -554,43 +561,57 @@ def test_rejecting_a_perturbed_coefficient_builds_no_ibp_generators(monkeypatch)
 
 # -- solver invariants are explicit exceptions --------------------------------
 
-def _patched_solver(monkeypatch, second_call=None, every_call=None):
-    """Wrap _solve_pinned: `second_call` edits the reverse-order solve,
-    `every_call` edits both."""
+def _spied_solver(monkeypatch, edit=None):
+    """Wrap _solve_pinned, record (n, pivots) of each call, and let `edit`
+    change what it returns."""
     original = energy_module._solve_pinned
     calls = []
 
-    def wrapped(rows, n, column_order):
-        solution, leftover = original(rows, n, column_order)
-        calls.append(column_order)
-        if every_call is not None:
-            solution, leftover = every_call(solution, leftover)
-        if second_call is not None and len(calls) == 2:
-            solution, leftover = second_call(solution, leftover)
-        return solution, leftover
+    def wrapped(rows, n):
+        result = original(rows, n)
+        calls.append((n, result[2]))
+        return result if edit is None else edit(rows, n, *result)
 
     monkeypatch.setattr(energy_module, "_solve_pinned", wrapped)
+    return calls
 
 
-def _bump_cubic_weight(solution, leftover):
-    return solution[:-1] + [solution[-1] + 1], leftover
-
-
-def test_reverse_order_leftover_raises(monkeypatch):
-    _patched_solver(monkeypatch, second_call=lambda s, left: (s, [[0, 1]]))
-    with pytest.raises(InfeasibleSystemError, match="reverse pivot order"):
-        solve_energy(3, 2)
+@pytest.mark.parametrize("p", [2, 3])
+def test_solver_runs_once_with_the_gauge_nullity(monkeypatch, p):
+    # the system is never full rank: nullity 1, 2 or 4 for k = 2, 1, 0 mod 3,
+    # and when 3 | k the cubic column, last, is a pivot, so every solution
+    # has the same cubic weight
+    calls = _spied_solver(monkeypatch)
+    for k in range(2, 15):
+        solve_energy(k, p)
+        (n, pivots), = calls
+        calls.clear()
+        assert n - len(pivots) == {2: 1, 1: 2, 0: 4}[k % 3], k
+        assert (n - 1 in pivots) == (k % 3 == 0), k
 
 
 def test_tie_break_dependent_cubic_weight_raises(monkeypatch):
-    _patched_solver(monkeypatch, second_call=_bump_cubic_weight)
+    # at (3, 2) mixed_c[2] is pinned to zero; put the cubic column in its
+    # place, and the cubic column, now a copy of an earlier one, is no pivot
+    index = [e.name for e in build_catalogue(3, 2)].index("mixed_c[2]")
+    original = energy_module._split_real_rows
+
+    def cubic_in_span(columns, rhs):
+        columns = list(columns)
+        columns[index] = columns[-1]
+        return original(columns, rhs)
+
+    monkeypatch.setattr(energy_module, "_split_real_rows", cubic_in_span)
     with pytest.raises(InfeasibleSystemError, match="depends on the tie-break") as info:
         solve_energy(3, 2)
-    assert info.value.residual == cubic_density(3, 2) * -1
+    assert info.value.residual == cubic_density(3, 2)
 
 
 def test_cubic_coefficient_mismatch_raises(monkeypatch):
-    _patched_solver(monkeypatch, every_call=_bump_cubic_weight)
+    def bump_cubic_weight(rows, n, solution, leftover, pivots):
+        return solution[:-1] + [solution[-1] + 1], leftover, pivots
+
+    _spied_solver(monkeypatch, bump_cubic_weight)
     with pytest.raises(InfeasibleSystemError, match="differs from the solved weight") as info:
         solve_energy(3, 2)
     assert info.value.residual == cubic_density(3, 2) * -1

@@ -1,7 +1,9 @@
 """Exact complex-rational scalar arithmetic."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -243,6 +245,13 @@ def test_values_are_immutable():
         with pytest.raises(AttributeError):
             setattr(z, name, 1)
     assert (z._re, z._im, z._den) == (2, -15, 3)
+
+
+def test_values_survive_copy_and_pickle():
+    for z in (GaussianRational(Fraction(2, 3), -5), ZERO, I):
+        for twin in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+            assert (twin._re, twin._im, twin._den) == (z._re, z._im, z._den)
+            assert twin == z and hash(twin) == hash(z)
 
 
 def test_coercion_rejects_floats_and_accepts_every_rational():

@@ -14,7 +14,8 @@ from nlsenergy.algebra import Density, Monomial
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer,
                                  SignatureMismatchError, classify,
-                                 enumerate_monomials, ibp_generators)
+                                 enumerate_monomials, ibp_generators,
+                                 reduce_by_sector)
 from nlsenergy.spectral import DensityPlan, random_state
 
 
@@ -59,8 +60,8 @@ def test_capped_generators_are_the_filtered_generators():
     # exactly the generators of the bases within the cap
     for signature in ((3, 3, 8), (2, 4, 7), (1, 1, 5)):
         for cap in range(4):
-            assert ibp_generators(signature, signature[2], max_derivative_factors=cap) == [
-                g for g in ibp_generators(signature, signature[2])
+            assert ibp_generators(signature, max_derivative_factors=cap) == [
+                g for g in ibp_generators(signature)
                 if min(m.derivative_factor_count for m in g.monomials()) <= cap]
 
 
@@ -73,7 +74,7 @@ def test_dispersive_walk_keeps_the_bases_with_at_most_three_derivative_factors(k
 def test_generators_are_total_derivatives():
     """Each span element is the full Leibniz expansion of d/dx applied to
     a lower-order monomial; identical slots accumulate multiplicity."""
-    gens = ibp_generators((2, 1, 3), 3)
+    gens = ibp_generators((2, 1, 3))
     # d/dx of (du)(du)(conj u): the two plain slots canonicalize together
     expected = Density.from_terms([
         (Monomial((2, 1), (0,)), 2),
@@ -101,7 +102,7 @@ def test_classification_precedence():
 @functools.lru_cache(maxsize=None)
 def _ibp_span(signature):
     """Echelon of the full, unpruned IBP span of a sector, nothing allowed."""
-    return SectorReducer(ibp_generators(signature, signature[2]))
+    return SectorReducer(ibp_generators(signature))
 
 
 def _assert_integrates_by_parts_to_zero(expr, res):
@@ -124,7 +125,7 @@ def test_reduction_leaves_a_total_derivative(allowed):
         + Density.monomial((2, 2), (2, 0)) * GaussianRational(0, 1) \
         - Density.monomial((4, 1), (1, 0)) * Fraction(5, 3) \
         + Density.monomial((2, 1), (2, 1)) * Fraction(2, 7)
-    res = SectorReducer(ibp_generators(sig, 6), allowed).reduce(expr)
+    res = SectorReducer(ibp_generators(sig), allowed).reduce(expr)
     assert res.residual != expr
     if allowed is not None:
         assert not res.allowed_part.is_zero
@@ -135,7 +136,7 @@ def test_reduction_leaves_a_total_derivative(allowed):
 
 def test_residual_is_independent_of_generator_order():
     sig = (3, 3, 4)
-    gens = ibp_generators(sig, 4)
+    gens = ibp_generators(sig)
     expr = Density.monomial((2, 1, 0), (1, 0, 0)) \
         + Density.monomial((1, 1, 1), (1, 0, 0)) * Fraction(3, 7)
     base = SectorReducer(gens).reduce(expr).residual
@@ -150,7 +151,7 @@ def test_allowed_monomials_pass_through():
     sig = (2, 2, 4)
     allowed = [m for m in enumerate_monomials(sig, 4)
                if m.derivative_factor_count >= 4]
-    red = SectorReducer(ibp_generators(sig, 4),
+    red = SectorReducer(ibp_generators(sig),
                         lambda m: m.derivative_factor_count >= 4)
     expr = Density({allowed[0]: GaussianRational(5)})
     res = red.reduce(expr)
@@ -159,10 +160,26 @@ def test_allowed_monomials_pass_through():
 
 
 def test_mixed_signature_input_rejected():
-    red = SectorReducer(ibp_generators((1, 1, 2), 2))
+    red = SectorReducer(ibp_generators((1, 1, 2)))
     bad = Density.monomial((1,), (1,)) + Density.monomial((2,), (2,))
     with pytest.raises(SignatureMismatchError):
         red.reduce(bad)
+
+
+def test_reduce_by_sector_reduces_each_sector_over_its_span():
+    allowed = lambda m: m.max_order <= 1  # noqa: E731
+    expr = Density.monomial((3, 2), (1, 0)) * Fraction(2, 7) \
+        + Density.monomial((2, 2), (2, 0)) * GaussianRational(0, 1) \
+        + Density.monomial((2,), (1,)) + Density.monomial((1,), (2,)) \
+        + Density.monomial((3, 0, 0), (1, 1, 0))
+    got = reduce_by_sector(expr, allowed)
+    assert list(got) == sorted(expr.signatures())
+    for sig, residual in got.items():
+        part = Density.from_terms((m, c) for m, c in expr.terms() if m.signature == sig)
+        assert residual == SectorReducer(ibp_generators(sig), allowed).reduce(part).residual
+    # d[d^1 u conj(u)] is a total derivative: its sector reduces to zero
+    assert got[(1, 1, 3)].is_zero
+    assert reduce_by_sector(Density.zero()) == {}
 
 
 # -- the cached reducers build only the generators that survive projection ---
@@ -183,7 +200,7 @@ def _allowed(name, k, p):
 @functools.lru_cache(maxsize=None)
 def _full_span_reducer(name, k, p):
     sector = _CACHED[name][1](k, p)
-    return SectorReducer(ibp_generators(sector, sector[2]), _allowed(name, k, p))
+    return SectorReducer(ibp_generators(sector), _allowed(name, k, p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,7 +222,7 @@ def test_cached_reducers_keep_exactly_the_generators_that_survive_projection(
     pruned = _CACHED[name][0].__wrapped__(k, p)
     allowed = _allowed(name, k, p)
     sector = _CACHED[name][1](k, p)
-    surviving = [g for g in ibp_generators(sector, sector[2])
+    surviving = [g for g in ibp_generators(sector)
                  if not all(allowed(m) for m in g.monomials())]
     assert built == [surviving]
     assert pruned.rank == _full_span_reducer(name, k, p).rank

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .algebra import (Density, Monomial, density_from_text,
+from .algebra import (Density, Monomial, PowerImage, density_from_text,
                       density_to_text, dt_evolution, dt_linear, dt_nonlinear)
 from .energy import (CatalogueEntry, CorrectionReductionError, EnergyDefinition,
                      EnergyDocumentError, Family, InfeasibleSystemError,

@@ -223,16 +223,59 @@ class Density:
         return Density({m.conjugate(): c.conjugate() for m, c in self._terms.items()})
 
     def re_part(self) -> "Density":
-        return (self + self.conjugate()) * _HALF
+        """(self + conj(self)) / 2."""
+        return self._with_conjugate(False)
 
     def im_part(self) -> "Density":
-        # (self - conj(self)) / (2i)
-        return (self - self.conjugate()) * _MINUS_HALF_I
+        """(self - conj(self)) / (2i)."""
+        return self._with_conjugate(True)
+
+    def _with_conjugate(self, imaginary: bool) -> "Density":
+        """re_part or im_part in one pass.  With w = c for the real part
+        and w = -i c for the imaginary part, the result holds (w + conj(w'))/2
+        at m, w' the weight at conj(m), and its conjugate at conj(m).  Each
+        pair of conjugate monomials is settled once, from both weights, on
+        integer numerators over twice the common denominator; a conjugate
+        is looked up among the terms before one is built."""
+        terms = self._terms
+        denom = math.lcm(*(c._den for c in terms.values()))
+        by_blocks = {(m.u_orders, m.c_orders): m for m in terms}
+
+        def weight(c: GaussianRational) -> tuple[int, int]:
+            scale = denom // c._den
+            x, y = c._re * scale, c._im * scale
+            return (y, -x) if imaginary else (x, y)
+
+        out: dict[Monomial, GaussianRational] = {}
+        for m, c in terms.items():
+            mc = by_blocks.get((m.c_orders, m.u_orders))
+            if mc is not None and mc in out:
+                continue    # settled with its partner
+            x, y = weight(c)
+            if mc is m:     # its own conjugate: the real part of w
+                if x:
+                    out[m] = _reduced(x, 0, denom)
+                continue
+            if mc is None:
+                mc = m.conjugate()
+            else:
+                x2, y2 = weight(terms[mc])
+                x, y = x + x2, y - y2
+            if x or y:
+                out[m] = _reduced(x, y, 2 * denom)
+                out[mc] = _reduced(x, -y, 2 * denom)
+        return Density(out)
 
     @property
     def is_real_valued(self) -> bool:
-        """True if the functional takes real values for every field: conj-fixed."""
-        return self.conjugate() == self
+        """True if the functional takes real values for every field: conj-fixed,
+        each coefficient the conjugate of its conjugate monomial's."""
+        by_blocks = {(m.u_orders, m.c_orders): c for m, c in self._terms.items()}
+        for m, c in self._terms.items():
+            d = by_blocks.get((m.c_orders, m.u_orders))
+            if d is None or (d._re, d._im, d._den) != (c._re, -c._im, c._den):
+                return False
+        return True
 
     def signatures(self) -> set[tuple[int, int, int]]:
         return {m.signature for m in self._terms}
@@ -242,10 +285,6 @@ class Density:
 
     def __repr__(self):
         return f"Density({density_to_text(self)!r})"
-
-
-_HALF = GaussianRational(1) / 2
-_MINUS_HALF_I = GaussianRational(0, -1) / 2
 
 
 # -- substitution on interned order blocks ------------------------------------
@@ -356,11 +395,15 @@ def _linear_image(a: int):
     return ((-1, (((a + 2,), 1),), _KEEP),)
 
 
+def _check_exponent(p: int):
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"nonlinearity exponent p must be an int >= 2, got {p!r}")
+
+
 def _power_image(p: int):
     """d^a[u] -> -i d^a[u^{p+1} conj(u)^p] as a function of a: the power
     derivative is already in the pieces `_substituted` takes."""
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"nonlinearity exponent p must be an int >= 2, got {p!r}")
+    _check_exponent(p)
     return functools.partial(_power_derivative, p)
 
 
@@ -459,6 +502,29 @@ def dt_evolution(e: Density, p: int) -> Density:
     return _substituted(e, lambda a: _linear_image(a) + power(a))
 
 
+@dataclass(frozen=True)
+class PowerImage:
+    """The power image dt_nonlinear(density, p), held unexpanded.
+
+    It stands for the same functional as the expanded density, with the
+    few terms of `density` in place of the many of its image: a
+    :class:`nlsenergy.spectral.DensityPlan` evaluates it along the power
+    field from those terms, and only oracles expand it.
+    """
+
+    density: Density
+    p: int
+
+    def __post_init__(self):
+        _check_exponent(self.p)
+
+    @property
+    def is_real_valued(self) -> bool:
+        """True if `density` is conjugation-fixed, and with it the image: the
+        power substitution commutes with conjugation."""
+        return self.density.is_real_valued
+
+
 # -- text serialization -----------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^d\^(\d+)\[(u|conj\(u\))\]$")
@@ -500,8 +566,10 @@ def density_to_text(e: Density) -> str:
 def density_from_text(text: str) -> Density:
     """The density that density_to_text wrote as `text`; ValueError if the
     text is malformed.  It is the one reader of that format, in which an
-    energy document states its densities, and is kept for readers of
-    documents although import_energy recomputes them and reads none."""
+    energy document states its densities.  import_energy reads only F_k
+    with it; a reader of a document expands the power image that the
+    document names by reference as dt_nonlinear(density_from_text(
+    doc["F_k"]), doc["p"])."""
     s = text.strip()
     if s == "0":
         return Density.zero()

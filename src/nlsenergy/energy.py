@@ -14,6 +14,10 @@ linear system obtained by reducing the dispersive-substitution images of a
 fixed catalogue of candidate densities; the system is solved generically,
 with free unknowns pinned to zero in catalogue order, and the solvability
 of the hand-worked small cases is covered by oracle tests.
+
+residual_nonlinear is the power image dt_nonlinear(F), which the solve,
+the documents and their validation keep unexpanded: its class follows
+from F's by a lemma, and a document names it by reference.
 """
 
 from __future__ import annotations
@@ -27,13 +31,17 @@ from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
-from .algebra import (Density, Monomial, density_to_text, dt_evolution,
-                      dt_linear, dt_nonlinear)
+from .algebra import (Density, Monomial, PowerImage, density_to_text,
+                      dt_evolution, dt_linear, dt_nonlinear)
 from .rational import GaussianRational
 from .reduction import (MonomialClass, SectorReducer, classify, ibp_generators,
                         reduce_by_sector)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# how a schema-2 document names the power image of its correction, which
+# is a function of F_k alone and is not written out
+POWER_IMAGE_REFERENCE = "dt_nonlinear(F_k)"
 
 
 class InfeasibleSystemError(RuntimeError):
@@ -211,6 +219,15 @@ class EnergyDefinition:
 
         exact_derivative == residual_quartic + residual_nonlinear
                             + cubic_coefficient * cubic term.
+
+    Both sides share the power image dt_nonlinear(F), which is the whole
+    nonlinear remainder, so the energy keeps F and not its image:
+    `derivative_rest` holds the other summands of exact_derivative, the
+    power part of d/dt |d^k u|^2 and the dispersive parts of the quadratic
+    energy and of F.  `power_image` names the image unexpanded, for
+    evaluation along the flow; `residual_nonlinear`, `exact_derivative`
+    and `residual_density()` expand it on every access, and energies keep
+    no caches.
     """
 
     k: int
@@ -218,20 +235,40 @@ class EnergyDefinition:
     coefficients: dict[str, Fraction]
     correction: Density
     residual_quartic: Density
-    residual_nonlinear: Density
     cubic_coefficient: Fraction
-    exact_derivative: Density
+    derivative_rest: Density
+
+    @property
+    def power_image(self) -> PowerImage:
+        """dt_nonlinear(F), unexpanded."""
+        return PowerImage(self.correction, self.p)
+
+    @property
+    def residual_nonlinear(self) -> Density:
+        """dt_nonlinear(F), expanded."""
+        return dt_nonlinear(self.correction, self.p)
+
+    @property
+    def exact_derivative(self) -> Density:
+        """d/dt E_k along the evolution, expanded."""
+        # the few summands of the rest are added into the large image
+        return self.residual_nonlinear + self.derivative_rest
 
     def energy_density(self) -> Density:
         """The modified energy E_k = quadratic + F."""
         return quadratic_density(self.k) + self.correction
 
+    def dispersive_residual(self) -> Density:
+        """The decomposition of E_k's derivative without the power image:
+        the quartic remainder plus the cubic term."""
+        if self.cubic_coefficient:
+            return (self.residual_quartic
+                    + cubic_density(self.k, self.p) * self.cubic_coefficient)
+        return self.residual_quartic
+
     def residual_density(self) -> Density:
         """The decomposition of E_k's derivative, as one density."""
-        total = self.residual_quartic + self.residual_nonlinear
-        if self.cubic_coefficient:
-            total = total + cubic_density(self.k, self.p) * self.cubic_coefficient
-        return total
+        return self.residual_nonlinear + self.dispersive_residual()
 
 
 def _split_real_rows(columns: list[Density], rhs: Density) -> list[list[int]]:
@@ -378,17 +415,14 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
     # F passed the guard above: signature (p+1, p+1, 2k-2), every order at
     # most k-1.  The power substitution spreads a factor's order over 2p+1
     # factors, so every term of its image has signature (2p+1, 2p+1, 2k-2)
-    # and every order at most k-1: the image is its own nonlinear remainder
-    residual_nonlinear = dt_nonlinear(correction, p)
-    # d/dt (quadratic + F) from the parts built above: `total` holds the
-    # power part of |d^k u|^2 and the dispersive part of F, and the power
-    # part of the mass is zero.  The small summands are added into the
-    # large expanded image, not it into them
-    exact = residual_nonlinear + total + dt_linear(quadratic_density(k))
+    # and every order at most k-1: the image is its own nonlinear remainder,
+    # and it is not expanded.  The rest of d/dt (quadratic + F): `total`
+    # holds the power part of |d^k u|^2 and the dispersive part of F, and
+    # the power part of the mass is zero
     return EnergyDefinition(
         k=k, p=p, coefficients=dict(coefficients), correction=correction,
-        residual_quartic=residual_quartic, residual_nonlinear=residual_nonlinear,
-        cubic_coefficient=cubic_coeff, exact_derivative=exact)
+        residual_quartic=residual_quartic, cubic_coefficient=cubic_coeff,
+        derivative_rest=total + dt_linear(quadratic_density(k)))
 
 
 # -- conservation witnesses -------------------------------------------------
@@ -576,6 +610,14 @@ def verify_identities(k: int, p: int) -> IdentityReport:
 # -- serialization ----------------------------------------------------------
 
 def export_energy(energy: EnergyDefinition) -> dict:
+    """The schema-2 document of `energy`.
+
+    The power image of F_k is named by POWER_IMAGE_REFERENCE, not written
+    out: `residual_theta` is the reference, and `exact_derivative` is the
+    reference plus the text of `derivative_rest`.  Replacing the reference
+    by the image's text gives the text of the expanded exact derivative,
+    since the image's sector (2p+1, 2p+1, 2k-2) sorts before every other.
+    """
     return {
         "schema_version": SCHEMA_VERSION,
         "k": energy.k,
@@ -584,8 +626,9 @@ def export_energy(energy: EnergyDefinition) -> dict:
         "cubic_coeff": str(energy.cubic_coefficient),
         "F_k": density_to_text(energy.correction),
         "residual_omega": density_to_text(energy.residual_quartic),
-        "residual_theta": density_to_text(energy.residual_nonlinear),
-        "exact_derivative": density_to_text(energy.exact_derivative),
+        "residual_theta": POWER_IMAGE_REFERENCE,
+        "exact_derivative": (f"{POWER_IMAGE_REFERENCE} + "
+                             f"{density_to_text(energy.derivative_rest)}"),
     }
 
 
@@ -605,10 +648,13 @@ def import_energy(source) -> EnergyDefinition:
     Only `schema_version`, `k`, `p` and the coefficients are input: the
     energy is recomputed from them, and the document is accepted exactly
     when `export_energy` of the recomputation equals it, so every other
-    field must be the text `export_energy` writes.  An `F_k` that is not
-    the text of the stated coefficients' combination is rejected before
-    the residuals are recomputed.  Anything unreadable, malformed or
-    inconsistent, an unusable k or p included, raises EnergyDocumentError.
+    field must be the text `export_energy` writes, the reference to the
+    power image included.  A document of another schema, such as a
+    schema-1 document with the image written out, is refused.  An `F_k`
+    that is not the text of the stated coefficients' combination is
+    rejected before the residuals are recomputed.  Anything unreadable,
+    malformed or inconsistent, an unusable k or p included, raises
+    EnergyDocumentError.
     """
     try:
         doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())

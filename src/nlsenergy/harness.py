@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .energy import (EnergyDefinition, cubic_density, energy_hash,
                      hamiltonian_density)
-from .spectral import (DensityPlan, SolverConfig, _check_mode, _check_modes,
-                       evolve, l2_norm, plane_wave, random_state, sobolev_norm)
+from .spectral import (DensityPlan, DensityValue, SolverConfig, _check_mode,
+                       _check_modes, evolve, l2_norm, plane_wave, random_state,
+                       sobolev_norm)
 
 CSV_COLUMNS = ("t", "l2", "h1", "hk", "hamiltonian", "E_k", "F_k",
                "dEk_fd", "dEk_exact", "cubic_remainder", "bound_ratio")
@@ -91,8 +92,12 @@ def initial_state(config: RunConfig) -> np.ndarray:
 
 
 # the functionals a record evaluates at its state, in the order of the
-# record plan; "cubic" is there only when the energy has a cubic term
-_RECORD_FUNCTIONALS = ("exact", "decomposition", "E_k", "F_k", "hamiltonian", "cubic")
+# record plan; "cubic" is there only when the energy has a cubic term.
+# "image" is the power image of F, a summand of both dE_k/dt forms, which
+# the plan evaluates along the flow from F's terms: "exact" and
+# "decomposition" are the rest of each
+_RECORD_FUNCTIONALS = ("exact", "decomposition", "E_k", "F_k", "hamiltonian",
+                       "image", "cubic")
 
 
 class RunPlans(NamedTuple):
@@ -105,10 +110,11 @@ class RunPlans(NamedTuple):
 
 
 def compile_plans(energy: EnergyDefinition, n_modes: int) -> RunPlans:
-    """The plans of `energy` for states of n_modes modes."""
+    """The plans of `energy` for states of n_modes modes.  No expanded
+    power image enters them."""
     e_k = energy.energy_density()
-    densities = (energy.exact_derivative, energy.residual_density(), e_k,
-                 energy.correction, hamiltonian_density(energy.p))
+    densities = (energy.derivative_rest, energy.dispersive_residual(), e_k,
+                 energy.correction, hamiltonian_density(energy.p), energy.power_image)
     if energy.cubic_coefficient:
         densities += (cubic_density(energy.k, energy.p),)
     return RunPlans(DensityPlan(densities, n_modes), DensityPlan((e_k,), n_modes))
@@ -138,7 +144,13 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
     k = energy.k
     # the record first: a state out of the floating-point range ends there,
     # before the norms overflow with a warning
-    record = dict(zip(_RECORD_FUNCTIONALS, plans.record.evaluate_real(u_hat)))
+    values = dict(zip(_RECORD_FUNCTIONALS, plans.record.evaluate(u_hat)))
+    image = values.pop("image")
+    for name in ("exact", "decomposition"):
+        # the image's terms count in the scale its residue is measured against
+        values[name] = DensityValue(values[name] + image,
+                                    values[name].term_scale + image.term_scale)
+    record = {name: value.real_value() for name, value in values.items()}
     hk = sobolev_norm(u_hat, k)
     f_val = record["F_k"]
     # growth-bound exponent 2(k-2)/(k-1); degenerates to 0 at k=2 so the

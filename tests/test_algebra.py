@@ -322,6 +322,21 @@ def test_substitutions_match_the_per_term_formulas(density, p):
         _naive_dt_linear(density) + _naive_dt_nonlinear(density, p)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(density=_densities, mirror=_coefficients)
+def test_real_and_imaginary_parts_match_their_formulas(density, mirror):
+    # monomials whose conjugate is absent, present with another weight, and
+    # their own conjugate
+    own = Density.from_terms((Monomial(m.u_orders, m.u_orders), c)
+                             for m, c in density.terms())
+    for d in (density, density + density.conjugate() * mirror, density + own):
+        conj = d.conjugate()
+        assert d.re_part() == (d + conj) * Fraction(1, 2)
+        assert d.im_part() == (d - conj) * GaussianRational(0, Fraction(-1, 2))
+        assert d.is_real_valued == (conj == d)
+        assert d.re_part().is_real_valued and d.im_part().is_real_valued
+
+
 def test_power_image_of_a_solved_correction_matches_the_per_term_formula():
     correction = solve_energy(12, 4).correction
     assert dt_nonlinear(correction, 4) == _naive_dt_nonlinear(correction, 4)

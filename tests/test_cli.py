@@ -9,10 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 from nlsenergy import cli
-from nlsenergy.algebra import Density
+from nlsenergy.algebra import Density, density_to_text
 from nlsenergy.cli import main
-from nlsenergy.energy import (InfeasibleSystemError, export_energy,
-                              import_energy, save_energy, solve_energy)
+from nlsenergy.energy import (POWER_IMAGE_REFERENCE, InfeasibleSystemError,
+                              export_energy, import_energy, save_energy,
+                              solve_energy)
 from nlsenergy.harness import RunConfig, run_experiment
 
 FAST = ["--n-modes", "16", "--dt", "1e-3", "--t-end", "0.01"]
@@ -96,6 +97,25 @@ def test_mismatched_energy_document_is_refused_before_it_is_validated(tmp_path, 
     assert result.exit_code == 1
     assert ("energy document is for (k=12, p=4) but the run wants (k=2, p=2)"
             in result.stderr)
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_schema_1_document(tmp_path):
+    # a schema-1 document wrote the power image of F_k out in full
+    energy = solve_energy(3, 2)
+    doc = export_energy(energy)
+    image = density_to_text(energy.residual_nonlinear)
+    doc.update(schema_version=1, residual_theta=image,
+               exact_derivative=doc["exact_derivative"].replace(POWER_IMAGE_REFERENCE, image))
+    path = tmp_path / "e1.json"
+    path.write_text(json.dumps(doc, indent=2))
+    out = tmp_path / "never.csv"
+    result = invoke("simulate", "--k", "3", "--p", "2", *FAST,
+                    "--energy", str(path), "--out", str(out))
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert [line for line in result.stderr.splitlines() if line.startswith("Error")] == [
+        "Error: bad energy document: unsupported schema_version 1 (expected 2)"]
     assert not out.exists()
 
 

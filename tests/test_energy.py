@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlsenergy
+from nlsenergy import algebra as algebra_module
 from nlsenergy import energy as energy_module
 from nlsenergy.algebra import (Density, Monomial, density_from_text,
                                density_to_text, dt_linear, dt_nonlinear)
-from nlsenergy.energy import (EnergyDocumentError, Family,
-                              InfeasibleSystemError, _assemble,
+from nlsenergy.energy import (POWER_IMAGE_REFERENCE, EnergyDocumentError,
+                              Family, InfeasibleSystemError, _assemble,
                               basic_density, build_catalogue,
                               correction_density, cubic_density,
                               cubic_monomial, dispersive_reducer,
@@ -25,6 +26,7 @@ from nlsenergy.energy import (EnergyDocumentError, Family,
                               import_energy, quadratic_density,
                               save_energy, solve_energy,
                               verify_exact_conservation, verify_identities)
+from nlsenergy.harness import RunConfig, compile_plans, initial_state, observe
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer, classify,
                                  enumerate_monomials, ibp_generators,
@@ -341,28 +343,29 @@ def test_frozen_document_matches_fresh_solve():
     energy = import_energy(DATA / "energy_5_2.json")
     assert energy == solve_energy(5, 2)
     assert energy_hash(energy) == \
-        "2438b404f67284ba0f1c1d1b21a41e59982de15fdc7ae38b8a15bd7cf52630ab"
+        "f70fd65ec3cfad1eee9c5b4a56e08cbc6d4f6a668adf59c91e76e3cbfffd9156"
 
 
-# energy_hash of every document on the k 2..8 x p {2,3} grid plus (12,2) and
-# (12,4); a change to the symbolic layer that alters any document fails here
+# energy_hash of every schema-2 document on the k 2..8 x p {2,3} grid plus
+# (12,2) and (12,4); a change to the symbolic layer that alters any
+# document fails here
 PINNED_HASHES = {
-    (2, 2): "d8373e67e2547bd587f614052534a14408853845db216528ea237f2d5c533b8d",
-    (2, 3): "67503b096e3f673fe91612efd8b0e23b5fbc08747d8fbfa3e3f28e96d77f310e",
-    (3, 2): "365d2c3461b5b62163ac7baee68ebb9ba1e8ff37f4f0c3ce524ce6c12ccd4deb",
-    (3, 3): "4f8fd125bc10de717ae1754d38e69139705a964191adde1f942ec0bb1c9b80a0",
-    (4, 2): "4a5790a222494d992b5a5971f2907c9bdd22a2f8a7ece17f5fc37b01178d6c94",
-    (4, 3): "e083a332a177e07b81305bb71af0d555b913dd24a7fe396d13302c2060cd7b26",
-    (5, 2): "2438b404f67284ba0f1c1d1b21a41e59982de15fdc7ae38b8a15bd7cf52630ab",
-    (5, 3): "dd712045c0a0f0ff6e752c331a77e5ab987988ff2ed1780cc19a6bfa98a54030",
-    (6, 2): "545c5d4c74fa01ed8c3e9fc4ec736f20374f89d2b0cfe113545dcbcf56a954ad",
-    (6, 3): "be10de27bafec996e1fdab30bbd495a849e6c2408f25ba0705e9cd0673d67dc6",
-    (7, 2): "8116405d4707d436443e15baf070d11bb26907fc4da12b2f10c21246b06b2d6e",
-    (7, 3): "77e1be2b9e5f91fd77b7d680bee1a491d40f6b8bf1ba1fc4fc0fa81081c82991",
-    (8, 2): "2051210d741db0c1192ddc2b8067bb1f37e1d4262be177c8a400f1e8d7447713",
-    (8, 3): "ce4f50acd5f3880dcd04184d95e59b47d8fce5594bb0fa16a2d1df6a76653d5f",
-    (12, 2): "a69d267c131f4174582e99f7470b956619f63f9fb0b14275abbb071b8d993a46",
-    (12, 4): "7dbd64078b0199c33d8ef48aeb010ee9978882323cd2db9ef945c02580eec64b",
+    (2, 2): "eef680e6e9ce733ad6b679fdfb46dd4c4d8f1a630539530fae6c21d6eec1a6da",
+    (2, 3): "5107854205f216788b4c38c5b7ece4e4dfd58a8c308a6f34dcec8bad4a5eeff7",
+    (3, 2): "764bc3c2a80a5fc00d4272e3c03d9ca05b30583b8748e489bedf413526af9371",
+    (3, 3): "de5adb44286b14c7a9b89d72de05672efba75c749f01ffa379e5c1120129dd7b",
+    (4, 2): "2ce798996a5d6feb2859c84691554028082c554f7e776ecbd37e5391bc459909",
+    (4, 3): "00d38d67f03e2a4b306b75d5bca0fdfe71d948b75caebb098734bbaa0a107991",
+    (5, 2): "f70fd65ec3cfad1eee9c5b4a56e08cbc6d4f6a668adf59c91e76e3cbfffd9156",
+    (5, 3): "c4258ae020e72801907742e56b84e6b3fa91eb3af2a6c31cb8a32531e9ada775",
+    (6, 2): "0eba3ef1db2c1fddd6b08394f2639d323470be925344e29f52eeb65fd967ab0a",
+    (6, 3): "4195cabac1df128d918134bd6177ed67aa545de43fe83660263556a09c69bb98",
+    (7, 2): "684bcd53d0fd8d030c967019857cd89693890524db889689f77f76b8922ab7a8",
+    (7, 3): "569066d0c7dbb287a931b1c7c55eda2cb2f8fb60ff4880b26e6da55b95312ba4",
+    (8, 2): "dceba3e2828876f09e0860e31fab8418e06d34093894a14888e23e148335fbb5",
+    (8, 3): "0f690e8bc42dc9a5252cedce2b06c03f08c7295d22794114ff37bfdbaf48eab8",
+    (12, 2): "e9ac5167b1a1c1d541e39f5ee69ab90e143e9dbd5d14467cec235e9594f1d34d",
+    (12, 4): "fe81298a35bb81d69dc6e1c0d757afd8a2506f4be33d4251befd01662031379c",
 }
 
 
@@ -485,6 +488,77 @@ def test_import_rejects_tampered_documents(mutate):
     mutate(doc)
     with pytest.raises(EnergyDocumentError):
         import_energy(doc)
+
+
+def _schema_1_document(energy):
+    """The document the schema-1 export wrote: the power image written out."""
+    doc = export_energy(energy)
+    image = density_to_text(energy.residual_nonlinear)
+    doc["schema_version"] = 1
+    doc["residual_theta"] = image
+    doc["exact_derivative"] = doc["exact_derivative"].replace(POWER_IMAGE_REFERENCE, image)
+    return doc
+
+
+def test_import_refuses_a_schema_1_document():
+    energy = solve_energy(3, 2)
+    doc = _schema_1_document(energy)
+    assert doc["exact_derivative"] == density_to_text(energy.exact_derivative)
+    with pytest.raises(EnergyDocumentError, match="unsupported schema_version 1 "):
+        import_energy(doc)
+
+
+@pytest.mark.parametrize("fields", [("residual_theta",), ("exact_derivative",),
+                                    ("residual_theta", "exact_derivative")])
+def test_import_refuses_a_schema_2_document_with_the_image_written_out(fields):
+    energy = solve_energy(3, 2)
+    expanded = _schema_1_document(energy)
+    doc = export_energy(energy)
+    for field in fields:
+        doc[field] = expanded[field]
+    with pytest.raises(EnergyDocumentError, match=", ".join(fields)):
+        import_energy(doc)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_reference_expands_to_the_expanded_derivative(p):
+    # schema 2 loses nothing: on the acceptance grid, the image's text in
+    # place of the reference gives the text of each expanded density
+    for k in range(2, 9):
+        energy = solve_energy(k, p)
+        doc = export_energy(energy)
+        image = density_to_text(dt_nonlinear(density_from_text(doc["F_k"]), p))
+        assert doc["residual_theta"] == POWER_IMAGE_REFERENCE
+        assert image == density_to_text(energy.residual_nonlinear)
+        assert doc["exact_derivative"].replace(POWER_IMAGE_REFERENCE, image) == \
+            density_to_text(energy.exact_derivative), k
+
+
+def test_solve_export_import_and_records_never_expand_a_correction_image(monkeypatch):
+    expanded = []
+    substituted = algebra_module._substituted
+
+    def spy(density, image):
+        if image is not algebra_module._linear_image:
+            expanded.append(density)
+        return substituted(density, image)
+
+    monkeypatch.setattr(algebra_module, "_substituted", spy)
+    for k, p in ((6, 2), (5, 3)):
+        energy = import_energy(export_energy(solve_energy(k, p)))
+        config = RunConfig(k=k, p=p, n_modes=16, seed=1)
+        observe(initial_state(config), 0.0, energy, config,
+                compile_plans(energy, config.n_modes))
+        # the power part of d/dt |d^k u|^2, once for the solve and once for
+        # the import's recomputation, is the only power image expanded
+        assert expanded == [Density.monomial((k,), (k,))] * 2
+        assert not all(classify(m, k, p) is MonomialClass.CORRECTION
+                       for m in expanded[0].monomials())
+        # the spy sees an expansion where there is one: the oracle's
+        expanded.clear()
+        assert not energy.residual_nonlinear.is_zero
+        assert expanded == [energy.correction]
+        expanded.clear()
 
 
 def test_import_rejects_a_document_without_a_derived_field():

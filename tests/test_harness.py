@@ -6,6 +6,7 @@ import json
 import pytest
 
 from nlsenergy import harness, spectral
+from nlsenergy.algebra import PowerImage
 from nlsenergy.energy import (cubic_density, energy_hash, export_energy,
                               hamiltonian_density, import_energy, solve_energy)
 from nlsenergy.harness import (CSV_COLUMNS, RunConfig, compile_plans,
@@ -170,8 +171,10 @@ def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch):
     energy = import_energy(export_energy(solve_energy(3, 2)))
     assert energy.cubic_coefficient
     config = _small_config(k=3, t_end=1e-2, record_dt=2e-3)
-    want = (energy.exact_derivative, energy.residual_density(), energy.energy_density(),
-            energy.correction, hamiltonian_density(2), cubic_density(3, 2))
+    # the rest of each form of dE_k/dt and the power image of F, unexpanded
+    want = (energy.derivative_rest, energy.dispersive_residual(), energy.energy_density(),
+            energy.correction, hamiltonian_density(2), PowerImage(energy.correction, 2),
+            cubic_density(3, 2))
     for _ in range(2):
         compiled.clear()
         assert len(run_experiment(config, energy)) == 6
@@ -205,3 +208,17 @@ def test_a_record_equals_separate_evaluations():
     assert weight
     assert abs(row["cubic_remainder"] - weight * cubic.real) <= \
         1e-12 * abs(weight) * cubic.term_scale
+
+
+@pytest.mark.parametrize("k,p", [(5, 3), (12, 4)])
+def test_the_record_derivatives_equal_the_expanded_oracle(k, p):
+    # dEk_exact and dEk_decomposition evaluate the power image of F along
+    # the flow; the expanded densities are the oracle
+    energy = solve_energy(k, p)
+    config = _small_config(k=k, p=p, n_modes=32, seed=2)
+    u = initial_state(config)
+    row = observe(u, 0.0, energy, config, compile_plans(energy, config.n_modes))
+    for column, density in (("dEk_exact", energy.exact_derivative),
+                            ("dEk_decomposition", energy.residual_density())):
+        want = DensityPlan((density,), config.n_modes).evaluate(u)[0]
+        assert abs(row[column] - want.real) <= 1e-11 * want.term_scale

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsenergy.algebra import Density, Monomial
-from nlsenergy.energy import hamiltonian_density, quadratic_density, solve_energy
+from nlsenergy.algebra import Density, Monomial, PowerImage, dt_nonlinear
+from nlsenergy.energy import (build_catalogue, hamiltonian_density,
+                              quadratic_density, solve_energy)
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import ibp_generators
 from nlsenergy.spectral import (BlowupError, DensityPlan, SolverConfig,
@@ -435,3 +436,63 @@ def test_each_value_of_a_plan_is_checked_against_its_own_term_scale():
         plan.evaluate_real(u)
     with pytest.raises(ValueError):
         DensityPlan((large, Density.monomial((1,), (0,))), 32).evaluate_real(u)
+
+
+# -- power images along the flow ------------------------------------------------
+
+@st.composite
+def _catalogue_combinations(draw):
+    """A random real combination of the catalogue entries of one (k, p)."""
+    k, p = draw(st.integers(2, 8)), draw(st.integers(2, 3))
+    density = Density.zero()
+    for entry in build_catalogue(k, p):
+        density = density + entry.density * draw(_fractions)
+    return p, density
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_catalogue_combinations(), u_hat=_states())
+def test_a_power_image_along_the_flow_equals_the_expanded_image(case, u_hat):
+    # the expanded image is kept only as this oracle
+    p, density = case
+    n_modes = len(u_hat)
+    image, alone = DensityPlan((PowerImage(density, p), density), n_modes).evaluate(u_hat)
+    want = DensityPlan((dt_nonlinear(density, p),), n_modes).evaluate(u_hat)[0]
+    # where the expanded terms cancel exactly their scale is 0, and the
+    # flow's rows cancel only to rounding: the larger scale bounds both
+    assert abs(image - want) <= 1e-11 * max(want.term_scale, image.term_scale)
+    assert abs(image) <= image.term_scale * (1 + 1e-12)
+    # a density that shares its plan with an image keeps its value
+    single = _plan_value(u_hat, density)
+    assert complex(alone) == complex(single)
+    assert alone.term_scale == single.term_scale
+
+
+@st.composite
+def _few_factor_monomials(draw):
+    """Monomials of one to four factors: below the catalogue's 2p+2, so
+    the grid is set by the power field's frequencies."""
+    u_orders = draw(st.lists(st.integers(0, 4), max_size=4))
+    c_orders = draw(st.lists(st.integers(0, 4), min_size=0 if u_orders else 1,
+                             max_size=4 - len(u_orders)))
+    return Monomial(tuple(u_orders), tuple(c_orders))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(density=st.lists(st.tuples(_few_factor_monomials(),
+                                  st.builds(GaussianRational, _fractions, _fractions)),
+                        min_size=1, max_size=4).map(Density.from_terms),
+       p=st.integers(2, 3), u_hat=_states())
+def test_the_power_image_of_any_density_equals_the_expanded_image(density, p, u_hat):
+    got = DensityPlan((PowerImage(density, p),), len(u_hat)).evaluate(u_hat)[0]
+    want, scale = _naive_density(u_hat, dt_nonlinear(density, p))
+    assert abs(got - want) <= 1e-11 * scale
+
+
+def test_a_power_image_needs_a_usable_exponent():
+    density = Density.monomial((1,), (0, 0))
+    for p in (1, 2.0, "2"):
+        with pytest.raises(ValueError, match="nonlinearity exponent"):
+            PowerImage(density, p)
+    assert not PowerImage(density, 2).is_real_valued
+    assert PowerImage(density.re_part(), 2).is_real_valued

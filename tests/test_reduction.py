@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euler_operator import is_total_derivative
 from nlsenergy import energy as energy_module
 from nlsenergy.algebra import Density, Monomial
 from nlsenergy.rational import GaussianRational
@@ -107,8 +108,10 @@ def _ibp_span(signature):
 
 def _assert_integrates_by_parts_to_zero(expr, res):
     """expr - allowed_part - residual lies in the full IBP span of its
-    sector, and so integrates to zero at any state, up to rounding."""
+    sector, has zero Euler images, and so integrates to zero at any state,
+    up to rounding."""
     rest = expr - res.allowed_part - res.residual
+    assert is_total_derivative(rest)
     for sig in rest.signatures():
         assert _ibp_span(sig).reduce(rest).residual.is_zero
     for seed in range(3):

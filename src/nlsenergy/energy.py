@@ -11,9 +11,8 @@ correction F made of correction-class densities such that
 
 modulo integration by parts.  The correction coefficients solve a small
 linear system obtained by reducing the dispersive-substitution images of a
-fixed catalogue of candidate densities; the system is solved generically,
-with free unknowns pinned to zero in catalogue order, and the solvability
-of the hand-worked small cases is covered by oracle tests.
+fixed catalogue of candidate densities.  The catalogue is chosen so that
+the system has full rank: its solution, when there is one, is unique.
 
 residual_nonlinear is the power image dt_nonlinear(F), which the solve,
 the documents and their validation keep unexpanded: its class follows
@@ -37,16 +36,15 @@ from .rational import GaussianRational
 from .reduction import (MonomialClass, SectorReducer, classify, ibp_generators,
                         reduce_by_sector)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-# how a schema-2 document names the power image of its correction, which
-# is a function of F_k alone and is not written out
+# how a document names the power image of its correction, which is a
+# function of F_k alone and is not written out
 POWER_IMAGE_REFERENCE = "dt_nonlinear(F_k)"
 
 
 class InfeasibleSystemError(RuntimeError):
-    """The cancellation system admits no exact solution, or none whose
-    cubic weight is well defined."""
+    """The cancellation system admits no exact solution, or more than one."""
 
     def __init__(self, message: str, residual: Density):
         super().__init__(message)
@@ -140,20 +138,20 @@ class CatalogueEntry:
 def build_catalogue(k: int, p: int) -> list[CatalogueEntry]:
     """Ordered correction candidates entering the modified energy.
 
-    Index h runs 1..k//3+1; within each h the family order is fixed
-    (ALIGNED_U, ALIGNED_C, MIXED_U, MIXED_C) and ALIGNED_C starts only at
-    h=2 because its h=1 entry duplicates ALIGNED_U's.  This order is the
-    tie-break rule for pinning free unknowns.
+    Each family has its own top index: the aligned families run up to
+    ceil(k/3), MIXED_U up to (k+1)//3 and MIXED_C up to k//3, and
+    ALIGNED_C starts only at h=2 because its h=1 entry duplicates
+    ALIGNED_U's.  An entry above its family's top would enter no energy:
+    its dispersive image lies in the span of the others, and dropping it
+    leaves the cancellation system full rank.  Within each h the family
+    order is fixed (ALIGNED_U, ALIGNED_C, MIXED_U, MIXED_C).
     """
     _check_kp(k, p)
-    entries = []
-    for h in range(1, k // 3 + 2):
-        for family in FAMILY_ORDER:
-            if family is Family.ALIGNED_C and h == 1:
-                continue
-            entries.append(CatalogueEntry(
-                f"{family.value}[{h}]", correction_density(family, k, h, p)))
-    return entries
+    top = {Family.ALIGNED_U: (k + 2) // 3, Family.ALIGNED_C: (k + 2) // 3,
+           Family.MIXED_U: (k + 1) // 3, Family.MIXED_C: k // 3}
+    return [CatalogueEntry(f"{family.value}[{h}]", correction_density(family, k, h, p))
+            for h in range(1, top[Family.ALIGNED_U] + 1) for family in FAMILY_ORDER
+            if h <= top[family] and (h, family) != (1, Family.ALIGNED_C)]
 
 
 def _check_kp(k: int, p: int):
@@ -189,11 +187,6 @@ def cubic_density(k: int, p: int) -> Density:
     return Density({cubic_monomial(k, p): GaussianRational(1)}).im_part()
 
 
-def _in_class(k: int, p: int, cls: MonomialClass):
-    """Membership in one monomial class, as a reducer's `allowed` predicate."""
-    return lambda m: classify(m, k, p) is cls
-
-
 @functools.lru_cache(maxsize=None)
 def dispersive_reducer(k: int, p: int) -> SectorReducer:
     """Cached echelon of the dispersive sector (p+1, p+1, 2k).
@@ -207,7 +200,7 @@ def dispersive_reducer(k: int, p: int) -> SectorReducer:
     # at least as many, all allowed, so those products are never walked
     return SectorReducer(
         ibp_generators((p + 1, p + 1, 2 * k), max_derivative_factors=3),
-        _in_class(k, p, MonomialClass.QUARTIC_REMAINDER))
+        lambda m: classify(m, k, p) is MonomialClass.QUARTIC_REMAINDER)
 
 
 @dataclass
@@ -290,15 +283,15 @@ def _split_real_rows(columns: list[Density], rhs: Density) -> list[list[int]]:
     return rows
 
 
-def _solve_pinned(rows: list[list[int]], n: int) -> tuple[
-        list[Fraction], list[list[int]], list[int]]:
-    """Gauss-Jordan elimination in column order; free unknowns pinned to 0.
+def _solve(rows: list[list[int]], n: int) -> tuple[dict[int, Fraction], list[list[int]]]:
+    """Gauss-Jordan elimination in column order.
 
     Rows stay integral: a pivot row P clears its column from a row R as
     a*R - b*P with a/b = P[col]/R[col] in lowest terms, and each new row
-    is divided by the gcd of its entries.  Returns the solution, the
-    unsatisfied rows and the pivot columns.  A column is a pivot exactly
-    when it lies outside the span of the columns before it.
+    is divided by the gcd of its entries.  A column is a pivot exactly
+    when it lies outside the span of the columns before it.  Returns the
+    value of each pivot column, which is the solution when every column
+    is a pivot, and the unsatisfied rows.
     """
     rows = list(rows)  # rows are replaced, never changed in place
     assigned: dict[int, int] = {}  # column -> pivot row index
@@ -310,7 +303,7 @@ def _solve_pinned(rows: list[list[int]], n: int) -> tuple[
                 pivot_row = ridx
                 break
         if pivot_row is None:
-            continue  # free unknown, pinned to zero
+            continue
         prow = rows[pivot_row]
         pv = prow[col]
         for ridx, r in enumerate(rows):
@@ -326,23 +319,20 @@ def _solve_pinned(rows: list[list[int]], n: int) -> tuple[
             rows[ridx] = new
         assigned[col] = pivot_row
         used_rows.add(pivot_row)
-    solution = [Fraction(0)] * n
-    for col, ridx in assigned.items():
-        # pivot rows may still reference free columns, which are pinned to 0,
-        # so the pivot value is the right-hand side over the pivot entry
-        solution[col] = Fraction(rows[ridx][n], rows[ridx][col])
+    values = {col: Fraction(rows[ridx][n], rows[ridx][col]) for col, ridx in assigned.items()}
     leftover = [r for ridx, r in enumerate(rows) if ridx not in used_rows and r[n]]
-    return solution, leftover, list(assigned)
+    return values, leftover
 
 
 def solve_energy(k: int, p: int) -> EnergyDefinition:
     """Solve the cancellation system and assemble the modified energy.
 
     Results are not cached: every call solves afresh, so a caller keeps
-    the energy it needs.  Raises InfeasibleSystemError if no exact solution
-    exists (the solver is generic; solvability for each supported (k, p) is
-    what the oracle and acceptance suites establish), or if the cubic
-    weight is not the same in every solution.
+    the energy it needs.  Raises InfeasibleSystemError if a column lies in
+    the span of the columns before it, with that candidate as the residual,
+    or if no exact solution exists (the solver is generic; solvability for
+    each supported (k, p) is what the oracle and acceptance suites
+    establish).
     """
     catalogue = build_catalogue(k, p)
     reducer = dispersive_reducer(k, p)
@@ -350,21 +340,21 @@ def solve_energy(k: int, p: int) -> EnergyDefinition:
     power = dt_nonlinear(Density.monomial((k,), (k,)), p)
     rhs = -1 * reducer.reduce(power).residual
     columns = [reducer.reduce(dt_linear(e.density)).residual for e in catalogue]
+    candidates = [(e.name, e.density) for e in catalogue]
     if k % 3 == 0:
         columns.append(-1 * reducer.reduce(cubic_density(k, p)).residual)
-    n = len(columns)
-    solution, leftover, pivots = _solve_pinned(_split_real_rows(columns, rhs), n)
+        candidates.append(("the cubic term", cubic_density(k, p)))
+    values, leftover = _solve(_split_real_rows(columns, rhs), len(columns))
+    for col, (name, density) in enumerate(candidates):
+        if col not in values:
+            raise InfeasibleSystemError(
+                f"cancellation system for (k={k}, p={p}) is not full rank: the column "
+                f"of {name} lies in the span of the columns before it", density)
     if leftover:
         raise InfeasibleSystemError(
             f"cancellation system for (k={k}, p={p}) is infeasible; "
             f"{len(leftover)} unsatisfied equations", -1 * rhs)
-    # the cubic column comes last: it is a pivot exactly when it lies outside
-    # the span of the catalogue columns, so that every solution, whichever
-    # unknowns are pinned, has the same cubic weight
-    if k % 3 == 0 and n - 1 not in pivots:
-        raise InfeasibleSystemError(
-            f"cubic weight for (k={k}, p={p}) depends on the tie-break: the cubic "
-            f"column lies in the span of the catalogue columns", cubic_density(k, p))
+    solution = [values[col] for col in range(len(columns))]
 
     coefficients = {entry.name: value for entry, value in zip(catalogue, solution)}
     energy = _assemble(k, p, coefficients, _combine(catalogue, coefficients), power)
@@ -526,12 +516,11 @@ def verify_identities(k: int, p: int) -> IdentityReport:
 
     Covers the dispersive images of all corrections, the special low-index
     degeneracies, and the power-substitution images of the catalogue
-    entries.  A `starstar[<entry>] in class` check of an entry in the
-    correction class certifies that membership: by the lemma `_assemble`
-    uses, its power image then lies in the nonlinear remainder class, so
-    the image is not expanded.  Only an entry outside the correction class
-    has its image expanded and reduced modulo integration by parts.  All
-    checks are exact; a failing check carries its nonzero residual.
+    entries.  A `starstar[<entry>] in class` check certifies that the
+    entry lies in the correction class: by the lemma `_assemble` uses, its
+    power image then lies in the nonlinear remainder class, so no image is
+    expanded.  All checks are exact; a failing check carries its nonzero
+    residual, for a `starstar` check the entry's terms outside the class.
     """
     _check_kp(k, p)
     m, r = divmod(k, 3)
@@ -544,12 +533,6 @@ def verify_identities(k: int, p: int) -> IdentityReport:
 
     def exact(identity: str, delta: Density):
         checks.append(IdentityCheck(identity, "exact", delta.is_zero, delta))
-
-    def modulo_parts(identity: str, mode: str, delta: Density, allowed=None):
-        residual = Density.zero()
-        for part in reduce_by_sector(delta, allowed).values():
-            residual = residual + part
-        checks.append(IdentityCheck(identity, mode, residual.is_zero, residual))
 
     for identity, (family, h), rhs in _star_identity_table(k, p):
         delta = dt_linear(correction_density(family, k, h, p))
@@ -580,7 +563,9 @@ def verify_identities(k: int, p: int) -> IdentityReport:
                  + correction_density(Family.ALIGNED_U, k, 1, p)
                  + correction_density(Family.MIXED_C, k, 1, p) * (p + 1)
                  + extra * (p - 1))
-        modulo_parts("mixed_c[2] rewrite (k=3)", "ibp", delta)
+        residual = sum(reduce_by_sector(delta).values(), Density.zero())
+        checks.append(IdentityCheck("mixed_c[2] rewrite (k=3)", "ibp",
+                                    residual.is_zero, residual))
     if r == 1:
         exact("basic mixed_u[m] == aligned_c[m] (k=3m+1)",
               basic_density(Family.MIXED_U, k, m, p)
@@ -592,25 +577,21 @@ def verify_identities(k: int, p: int) -> IdentityReport:
                  + basic_density(Family.MIXED_C, k, m - 1, p))
 
     for entry in build_catalogue(k, p):
-        identity = f"starstar[{entry.name}] in class"
-        if all(classify(mm, k, p) is MonomialClass.CORRECTION
-               for mm in entry.density.monomials()):
-            # the lemma _assemble uses: the power substitution spreads a
-            # factor's order over 2p+1 factors, so the image of a correction
-            # has signature (2p+1, 2p+1, 2k-2) and every order at most k-1
-            checks.append(IdentityCheck(identity, "class", True, Density.zero()))
-            continue
-        # only mixed_c[2] at k=3 leaves the correction class; the echelon of
-        # its image's one sector is small (10 generators) and uncached
-        modulo_parts(identity, "class", dt_nonlinear(entry.density, p),
-                     _in_class(k, p, MonomialClass.NONLINEAR_REMAINDER))
+        # the lemma _assemble uses: the power substitution spreads a factor's
+        # order over 2p+1 factors, so the image of a correction has signature
+        # (2p+1, 2p+1, 2k-2) and every order at most k-1; the residual holds
+        # the entry's terms outside the correction class
+        outside = Density.from_terms((mm, c) for mm, c in entry.density.terms()
+                                     if classify(mm, k, p) is not MonomialClass.CORRECTION)
+        checks.append(IdentityCheck(f"starstar[{entry.name}] in class", "class",
+                                    outside.is_zero, outside))
     return IdentityReport(k, p, checks)
 
 
 # -- serialization ----------------------------------------------------------
 
 def export_energy(energy: EnergyDefinition) -> dict:
-    """The schema-2 document of `energy`.
+    """The schema-3 document of `energy`.
 
     The power image of F_k is named by POWER_IMAGE_REFERENCE, not written
     out: `residual_theta` is the reference, and `exact_derivative` is the
@@ -650,7 +631,8 @@ def import_energy(source) -> EnergyDefinition:
     when `export_energy` of the recomputation equals it, so every other
     field must be the text `export_energy` writes, the reference to the
     power image included.  A document of another schema, such as a
-    schema-1 document with the image written out, is refused.  An `F_k`
+    schema-1 document with the image written out or a schema-2 document
+    with the coefficients of the top-index entries, is refused.  An `F_k`
     that is not the text of the stated coefficients' combination is
     rejected before the residuals are recomputed.  Anything unreadable,
     malformed or inconsistent, an unusable k or p included, raises

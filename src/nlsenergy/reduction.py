@@ -175,16 +175,18 @@ def _subtract(acc: dict, factor: GaussianRational, row: dict):
 class SectorReducer:
     """Echelon form of a generator span, reusable across many reductions.
 
-    `allowed` is a predicate on monomials, typically membership in one
-    :class:`MonomialClass`; the monomials it accepts are coordinates that
-    membership testing may use freely.  They take no part in pivoting: each
-    echelon row keeps them beside its normalized row over the eliminated
-    coordinates, and a reduction subtracts both as it eliminates, so the
-    `allowed_part` of each result is what the elimination leaves on the
-    allowed coordinates.  A generator with only allowed terms adds nothing
-    to the echelon and may be left out.  The generators themselves are not
-    kept.  Pivoting is deterministic: the largest monomial in canonical
-    order is eliminated first.
+    `allowed` is a predicate on monomials: the monomials it accepts are
+    coordinates that membership testing may use freely.  The cached
+    dispersive reducer allows the quartic remainder class; without a
+    predicate, the residual decides membership in the span alone.
+    Allowed coordinates take no part in pivoting: each echelon row keeps
+    them beside its normalized row over the eliminated coordinates, and a
+    reduction subtracts both as it eliminates, so the `allowed_part` of
+    each result is what the elimination leaves on the allowed
+    coordinates.  A generator with only allowed terms adds nothing to the
+    echelon and may be left out.  The generators themselves are not kept.
+    Pivoting is deterministic: the largest monomial in canonical order is
+    eliminated first.
     """
 
     def __init__(self, generators: Sequence[Density],
@@ -246,11 +248,10 @@ class SectorReducer:
         return ReductionResult(Density(residual), Density(alw))
 
 
-
-def reduce_by_sector(expr: Density,
-                     allowed: Callable[[Monomial], bool] | None = None) -> dict[Signature, Density]:
-    """The residual of each sector of `expr` modulo its full IBP span and
-    the `allowed` monomials, keyed by signature in sorted order.
+def reduce_by_sector(expr: Density) -> dict[Signature, Density]:
+    """The residual of each sector of `expr` modulo its full IBP span,
+    keyed by signature in sorted order: all are zero exactly when `expr`
+    integrates to zero.
 
     Integration by parts keeps a sector, so `expr` is split by signature
     in one pass and each part is reduced on its own, by an echelon built
@@ -259,5 +260,5 @@ def reduce_by_sector(expr: Density,
     parts: dict[Signature, dict[Monomial, GaussianRational]] = {}
     for m, c in expr._terms.items():
         parts.setdefault(m.signature, {})[m] = c
-    return {sig: SectorReducer(ibp_generators(sig), allowed).reduce(Density(parts[sig])).residual
+    return {sig: SectorReducer(ibp_generators(sig)).reduce(Density(parts[sig])).residual
             for sig in sorted(parts)}

@@ -84,12 +84,6 @@ def euler_image(poly: dict, conjugated: bool = False) -> dict:
     return acc
 
 
-def euler_images(density) -> tuple[dict, dict]:
-    """Both Euler images of a `Density`: with respect to u and to conj(u)."""
-    poly = polynomial(density)
-    return euler_image(poly), euler_image(poly, conjugated=True)
-
-
 def is_total_derivative(density) -> bool:
     """True exactly when the density integrates to zero for every periodic u."""
     poly = polynomial(density)

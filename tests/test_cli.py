@@ -115,7 +115,7 @@ def test_simulate_refuses_a_schema_1_document(tmp_path):
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     assert [line for line in result.stderr.splitlines() if line.startswith("Error")] == [
-        "Error: bad energy document: unsupported schema_version 1 (expected 2)"]
+        "Error: bad energy document: unsupported schema_version 1 (expected 3)"]
     assert not out.exists()
 
 

@@ -3,7 +3,10 @@
 import ast
 import copy
 import gc
+import hashlib
+import json
 import pickle
+import re
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +20,9 @@ from nlsenergy import algebra as algebra_module
 from nlsenergy import energy as energy_module
 from nlsenergy.algebra import (Density, Monomial, density_from_text,
                                density_to_text, dt_linear, dt_nonlinear)
-from nlsenergy.energy import (POWER_IMAGE_REFERENCE, EnergyDocumentError,
-                              Family, InfeasibleSystemError, _assemble,
+from nlsenergy.energy import (FAMILY_ORDER, POWER_IMAGE_REFERENCE,
+                              EnergyDocumentError, Family,
+                              InfeasibleSystemError, _assemble,
                               basic_density, build_catalogue,
                               correction_density, cubic_density,
                               cubic_monomial, dispersive_reducer,
@@ -38,7 +42,7 @@ DATA = Path(__file__).parent / "data"
 # -- catalogue --------------------------------------------------------------
 
 @pytest.mark.parametrize("k,size", [
-    (2, 3), (3, 7), (4, 7), (5, 7), (6, 11), (7, 11), (8, 11),
+    (2, 2), (3, 3), (4, 5), (5, 6), (6, 7), (7, 9), (8, 10),
 ])
 def test_catalogue_size(k, size):
     assert len(build_catalogue(k, 2)) == size
@@ -49,8 +53,20 @@ def test_catalogue_names_and_order():
     assert names == [
         "aligned_u[1]", "mixed_u[1]", "mixed_c[1]",
         "aligned_u[2]", "aligned_c[2]", "mixed_u[2]", "mixed_c[2]",
-        "aligned_u[3]", "aligned_c[3]", "mixed_u[3]", "mixed_c[3]",
     ]
+
+
+def test_each_family_stops_at_its_own_top_index():
+    # with k = 3m + r, index m+1 loses the entries no energy contains: all
+    # four families when r = 0, mixed_u and mixed_c when r = 1, mixed_c
+    # when r = 2
+    for k in range(2, 40):
+        m, r = divmod(k, 3)
+        tops = {"aligned_u": m + (r > 0), "aligned_c": m + (r > 0),
+                "mixed_u": m + (r == 2), "mixed_c": m}
+        want = [f"{family}[{h}]" for h in range(1, m + 2) for family in tops
+                if h <= tops[family] and (family, h) != ("aligned_c", 1)]
+        assert [e.name for e in build_catalogue(k, 2)] == want, k
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -59,23 +75,25 @@ def test_catalogue_entries_live_in_the_correction_class(k):
     for entry in build_catalogue(k, p):
         assert entry.density.is_real_valued
         assert entry.density.signatures() == {(p + 1, p + 1, 2 * k - 2)}
-        if k == 3 and entry.name == "mixed_c[2]":
-            # lone candidate with an order-k factor; the solver never
-            # selects it (its weight is pinned to zero at k == 3)
-            continue
         for m in entry.density.monomials():
             assert classify(m, k, p) is MonomialClass.CORRECTION, entry.name
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_only_the_top_mixed_entry_at_k3_leaves_the_correction_class(p):
-    # verify_identities reduces a power image in the nonlinear sector only
-    # for an entry outside the correction class, and builds that echelon
-    # uncached on the strength of there being this one
-    outside = [(k, entry.name) for k in range(2, 31) for entry in build_catalogue(k, p)
-               if any(classify(m, k, p) is not MonomialClass.CORRECTION
-                      for m in entry.density.monomials())]
-    assert outside == [(3, "mixed_c[2]")]
+    # of the candidates up to index k//3 + 1, only mixed_c[2] at k=3 has an
+    # order-k factor; it lies above its family's top index, so no catalogue
+    # entry leaves the class and verify_identities expands no power image
+    def outside(density, k):
+        return any(classify(m, k, p) is not MonomialClass.CORRECTION
+                   for m in density.monomials())
+
+    candidates = [(k, f"{family.value}[{h}]") for k in range(2, 31)
+                  for h in range(1, k // 3 + 2) for family in FAMILY_ORDER
+                  if outside(correction_density(family, k, h, p), k)]
+    assert candidates == [(3, "mixed_c[2]")]
+    assert [(k, entry.name) for k in range(2, 31) for entry in build_catalogue(k, p)
+            if outside(entry.density, k)] == []
 
 
 def test_basic_density_shapes():
@@ -125,25 +143,17 @@ def test_cubic_monomial():
 # -- solved coefficients (frozen oracle values) -----------------------------
 
 GOLDEN = {
-    (2, 2): {"aligned_u[1]": "2", "mixed_u[1]": "6", "mixed_c[1]": "0"},
-    (2, 3): {"aligned_u[1]": "3", "mixed_u[1]": "8", "mixed_c[1]": "0"},
-    (3, 2): {"aligned_u[1]": "2", "mixed_u[1]": "9", "mixed_c[1]": "-18",
-             "aligned_u[2]": "0", "aligned_c[2]": "0",
-             "mixed_u[2]": "0", "mixed_c[2]": "0"},
-    (3, 3): {"aligned_u[1]": "3", "mixed_u[1]": "12", "mixed_c[1]": "-36",
-             "aligned_u[2]": "0", "aligned_c[2]": "0",
-             "mixed_u[2]": "0", "mixed_c[2]": "0"},
+    (2, 2): {"aligned_u[1]": "2", "mixed_u[1]": "6"},
+    (2, 3): {"aligned_u[1]": "3", "mixed_u[1]": "8"},
+    (3, 2): {"aligned_u[1]": "2", "mixed_u[1]": "9", "mixed_c[1]": "-18"},
+    (3, 3): {"aligned_u[1]": "3", "mixed_u[1]": "12", "mixed_c[1]": "-36"},
     (4, 2): {"aligned_u[1]": "2", "mixed_u[1]": "12", "mixed_c[1]": "-24",
-             "aligned_u[2]": "-14/3", "aligned_c[2]": "-72",
-             "mixed_u[2]": "0", "mixed_c[2]": "0"},
+             "aligned_u[2]": "-14/3", "aligned_c[2]": "-72"},
     (5, 2): {"aligned_u[1]": "2", "mixed_u[1]": "15", "mixed_c[1]": "-30",
-             "aligned_u[2]": "-23", "aligned_c[2]": "-75",
-             "mixed_u[2]": "-270", "mixed_c[2]": "0"},
+             "aligned_u[2]": "-23", "aligned_c[2]": "-75", "mixed_u[2]": "-270"},
     (6, 2): {"aligned_u[1]": "2", "mixed_u[1]": "18", "mixed_c[1]": "-36",
              "aligned_u[2]": "-34", "aligned_c[2]": "-108",
-             "mixed_u[2]": "-456", "mixed_c[2]": "210",
-             "aligned_u[3]": "0", "aligned_c[3]": "0",
-             "mixed_u[3]": "0", "mixed_c[3]": "0"},
+             "mixed_u[2]": "-456", "mixed_c[2]": "210"},
 }
 
 CUBIC_GOLDEN = {(2, 2): 0, (3, 2): 2, (3, 3): 6, (4, 2): 0, (5, 2): 0,
@@ -173,13 +183,13 @@ def test_solved_energy_is_released_with_its_last_reference():
     assert ref() is None
 
 
-def test_duplicate_entry_pinned_to_zero_at_k2():
-    # mixed_c[1] coincides with aligned_u[1] when k == 2; the tie-break
-    # keeps the later column out of the solution
+def test_the_k2_duplicate_is_not_in_the_catalogue():
+    # mixed_c[1] coincides with aligned_u[1] when k == 2, and lies above
+    # mixed_c's top index k//3 = 0
     for p in (2, 3):
         assert correction_density(Family.MIXED_C, 2, 1, p) == \
             correction_density(Family.ALIGNED_U, 2, 1, p)
-        assert solve_energy(2, p).coefficients["mixed_c[1]"] == 0
+        assert [e.name for e in build_catalogue(2, p)] == ["aligned_u[1]", "mixed_u[1]"]
 
 
 # -- decomposition invariants -----------------------------------------------
@@ -253,43 +263,31 @@ def test_identity_grid_small(k, p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_starstar_checks_agree_with_the_expanded_power_images(p):
-    # verify_identities settles an in-class entry's check by the lemma; this
+    # verify_identities settles each entry's check by the lemma; this
     # oracle expands every image and classifies it term by term instead
     for k in range(2, 9):
         want = []
         for entry in build_catalogue(k, p):
             image = dt_nonlinear(entry.density, p)
-            by_term = all(classify(m, k, p) is MonomialClass.NONLINEAR_REMAINDER
-                          for m in image.monomials())
-            if (k, entry.name) == (3, "mixed_c[2]"):
-                # its image has an order-k term, which one integration by
-                # parts brings into the class
-                assert not by_term
-                sector = (2 * p + 1, 2 * p + 1, 2 * k - 2)
-                reducer = SectorReducer(
-                    ibp_generators(sector),
-                    lambda m: classify(m, k, p) is MonomialClass.NONLINEAR_REMAINDER)
-                in_class = reducer.reduce(image).residual.is_zero
-            else:
-                in_class = by_term
-            assert in_class, (k, entry.name)
+            assert all(classify(m, k, p) is MonomialClass.NONLINEAR_REMAINDER
+                       for m in image.monomials()), (k, entry.name)
             want.append((f"starstar[{entry.name}] in class", "class", True, True))
         got = [(c.identity, c.mode, c.passed, c.residual.is_zero)
                for c in verify_identities(k, p).checks if c.identity.startswith("starstar[")]
         assert got == want, k
 
 
-def test_only_entries_outside_the_correction_class_have_their_images_expanded(monkeypatch):
+def test_an_entry_outside_the_correction_class_fails_its_check_unexpanded(monkeypatch):
     k, p = 2, 2
-    # the correction sector (3, 3, 2) with an order above k-1: outside the
-    # class, and its image still reduces into the nonlinear class
+    # the correction sector (3, 3, 2) with an order above k-1
     high = Density.monomial((2, 0, 0), (0, 0, 0)).re_part()
-    # the sector (3, 3, 4): its image lies in (5, 5, 4), where the nonlinear
-    # class has no monomial, and is no total derivative
+    # the sector (3, 3, 4)
     off = Density.monomial((2, 0, 0), (2, 0, 0))
     catalogue = build_catalogue(k, p)
+    half = catalogue[0].density + high   # one term in the class, two outside
     monkeypatch.setattr(energy_module, "build_catalogue", lambda k_, p_: catalogue + [
-        energy_module.CatalogueEntry("high", high), energy_module.CatalogueEntry("off", off)])
+        energy_module.CatalogueEntry(name, density)
+        for name, density in (("high", high), ("off", off), ("half", half))])
     expanded = []
 
     def spy(density, p_):
@@ -298,14 +296,14 @@ def test_only_entries_outside_the_correction_class_have_their_images_expanded(mo
 
     monkeypatch.setattr(energy_module, "dt_nonlinear", spy)
     checks = {c.identity: c for c in verify_identities(k, p).checks}
-    assert expanded == [high, off]
+    assert expanded == []
     for entry in catalogue:
         check = checks[f"starstar[{entry.name}] in class"]
         assert check.passed and check.residual.is_zero
-    assert checks["starstar[high] in class"].passed
-    assert checks["starstar[high] in class"].residual.is_zero
-    assert not checks["starstar[off] in class"].passed
-    assert not checks["starstar[off] in class"].residual.is_zero
+    # the residual holds the entry's terms outside the correction class
+    for name, outside in (("high", high), ("off", off), ("half", high)):
+        check = checks[f"starstar[{name}] in class"]
+        assert (check.mode, check.passed, check.residual) == ("class", False, outside)
 
 
 def test_tampered_correction_fails_its_dispersive_identity():
@@ -343,13 +341,34 @@ def test_frozen_document_matches_fresh_solve():
     energy = import_energy(DATA / "energy_5_2.json")
     assert energy == solve_energy(5, 2)
     assert energy_hash(energy) == \
-        "f70fd65ec3cfad1eee9c5b4a56e08cbc6d4f6a668adf59c91e76e3cbfffd9156"
+        "dc1ffc609e152641dc291e0f5393c1380d5f224eb93726b88d66b3e07aaad0fe"
 
 
-# energy_hash of every schema-2 document on the k 2..8 x p {2,3} grid plus
+# energy_hash of every schema-3 document on the k 2..8 x p {2,3} grid plus
 # (12,2) and (12,4); a change to the symbolic layer that alters any
 # document fails here
 PINNED_HASHES = {
+    (2, 2): "3caff8e7dcfb505ffcbb9747b252d0eb9e2ac56b076d9f0ee88d8eb898582f4d",
+    (2, 3): "1a2b106e93ba318646a8bbd3434377ac430d76f341c4d91de7bebe78eb3c3e12",
+    (3, 2): "d0ddedd99f7c16a8c97d5efa0e6ec42deaa4fa133d4b32d511499f4ffd9aadb3",
+    (3, 3): "555147ee5449071b2d11391f1daff4ca07ea5627e77363e71bdfcced4264c698",
+    (4, 2): "263b0764685549ea88bc3057bc6144e9f6aa396d20f9dc435479256653f3b465",
+    (4, 3): "a43ed354cb82ae8b236a8abe8cde0c3bfed84e093b15c57d8b0c9ff25cf878cf",
+    (5, 2): "dc1ffc609e152641dc291e0f5393c1380d5f224eb93726b88d66b3e07aaad0fe",
+    (5, 3): "7b1f825f24f35a43467ee9b2cd1869fb3d7c17d6e8b8bc6f1f872484470dcffd",
+    (6, 2): "3557a15bcbdc61c3ea320435128920fd84573070e357ad49539736c0a938e981",
+    (6, 3): "732a75f1ca56ce348002b961ed7265968fbca66650029a63b3803bd9641b1258",
+    (7, 2): "1c157bd6024daed3954ded775220576d23e0dbc646709c3bec85de8e30d0fe2c",
+    (7, 3): "6c144a97981d43927e5f9904d8798aadb4054ed65226bc5220cf8a85ae6e0189",
+    (8, 2): "98ea7c207be8b5f73e70b2eac17c8d5770a6c648c3b01663ac6f48fc0aba0565",
+    (8, 3): "c0e37cef665fa1877a98856af68c01a020d3b264520743aab2fecac011439361",
+    (12, 2): "47274799a88a9ff5b4aaf37e591a30789afc986e29cb3a74a0200e6bf8948efd",
+    (12, 4): "77f2bc4053a209b979243127921f3fcf92eafba4677d65073fad422342af2bbe",
+}
+
+# the same cells' hashes in schema 2, whose catalogue held the top-index
+# entries that no energy contains
+SCHEMA_2_HASHES = {
     (2, 2): "eef680e6e9ce733ad6b679fdfb46dd4c4d8f1a630539530fae6c21d6eec1a6da",
     (2, 3): "5107854205f216788b4c38c5b7ece4e4dfd58a8c308a6f34dcec8bad4a5eeff7",
     (3, 2): "764bc3c2a80a5fc00d4272e3c03d9ca05b30583b8748e489bedf413526af9371",
@@ -369,9 +388,25 @@ PINNED_HASHES = {
 }
 
 
+def _schema_2_document(energy):
+    """The document the schema-2 export wrote: the coefficients of the
+    entries at index k//3 + 1 too, each 0, in catalogue order."""
+    k = energy.k
+    doc = export_energy(energy)
+    names = [f"{family.value}[{h}]" for h in range(1, k // 3 + 2) for family in FAMILY_ORDER
+             if (h, family) != (1, Family.ALIGNED_C)]
+    doc["schema_version"] = 2
+    doc["coefficients"] = {name: doc["coefficients"].get(name, "0") for name in names}
+    return doc
+
+
 @pytest.mark.parametrize("k,p", sorted(PINNED_HASHES))
 def test_energy_hash_is_pinned(k, p):
-    assert energy_hash(solve_energy(k, p)) == PINNED_HASHES[(k, p)]
+    energy = solve_energy(k, p)
+    assert energy_hash(energy) == PINNED_HASHES[(k, p)]
+    # schema 3 drops only the top-index coefficients, all 0, from schema 2
+    blob = json.dumps(_schema_2_document(energy), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SCHEMA_2_HASHES[(k, p)]
 
 
 def test_a_solved_energy_survives_copy_and_pickle():
@@ -492,7 +527,7 @@ def test_import_rejects_tampered_documents(mutate):
 
 def _schema_1_document(energy):
     """The document the schema-1 export wrote: the power image written out."""
-    doc = export_energy(energy)
+    doc = _schema_2_document(energy)
     image = density_to_text(energy.residual_nonlinear)
     doc["schema_version"] = 1
     doc["residual_theta"] = image
@@ -508,6 +543,14 @@ def test_import_refuses_a_schema_1_document():
         import_energy(doc)
 
 
+def test_import_refuses_a_schema_2_document():
+    doc = _schema_2_document(solve_energy(3, 2))
+    with pytest.raises(EnergyDocumentError,
+                       match=r"^unsupported schema_version 2 \(expected 3\)$"):
+        import_energy(doc)
+
+
+# schema 3 keeps schema 2's reference to the power image
 @pytest.mark.parametrize("fields", [("residual_theta",), ("exact_derivative",),
                                     ("residual_theta", "exact_derivative")])
 def test_import_refuses_a_schema_2_document_with_the_image_written_out(fields):
@@ -522,7 +565,7 @@ def test_import_refuses_a_schema_2_document_with_the_image_written_out(fields):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_reference_expands_to_the_expanded_derivative(p):
-    # schema 2 loses nothing: on the acceptance grid, the image's text in
+    # the reference loses nothing: on the acceptance grid, the image's text in
     # place of the reference gives the text of each expanded density
     for k in range(2, 9):
         energy = solve_energy(k, p)
@@ -636,54 +679,71 @@ def test_rejecting_a_perturbed_coefficient_builds_no_ibp_generators(monkeypatch)
 # -- solver invariants are explicit exceptions --------------------------------
 
 def _spied_solver(monkeypatch, edit=None):
-    """Wrap _solve_pinned, record (n, pivots) of each call, and let `edit`
-    change what it returns."""
-    original = energy_module._solve_pinned
+    """Wrap _solve, record (rows, n) of each call, and let `edit` change
+    what it returns."""
+    original = energy_module._solve
     calls = []
 
     def wrapped(rows, n):
+        calls.append((rows, n))
         result = original(rows, n)
-        calls.append((n, result[2]))
         return result if edit is None else edit(rows, n, *result)
 
-    monkeypatch.setattr(energy_module, "_solve_pinned", wrapped)
+    monkeypatch.setattr(energy_module, "_solve", wrapped)
     return calls
 
 
+def _rank(rows, n):
+    """The rank of the first n columns of integer rows, by Fractions."""
+    rows = [[Fraction(x) for x in row[:n]] for row in rows]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
+        rank += 1
+    return rank
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_solver_runs_once_with_the_gauge_nullity(monkeypatch, p):
-    # the system is never full rank: nullity 1, 2 or 4 for k = 2, 1, 0 mod 3,
-    # and when 3 | k the cubic column, last, is a pivot, so every solution
-    # has the same cubic weight
+def test_the_cancellation_system_is_full_rank(monkeypatch, p):
+    # one elimination per solve, and every column, the cubic one last when
+    # 3 | k, lies outside the span of the others: the solution is unique
     calls = _spied_solver(monkeypatch)
     for k in range(2, 15):
         solve_energy(k, p)
-        (n, pivots), = calls
+        (rows, n), = calls
         calls.clear()
-        assert n - len(pivots) == {2: 1, 1: 2, 0: 4}[k % 3], k
-        assert (n - 1 in pivots) == (k % 3 == 0), k
+        assert n == len(build_catalogue(k, p)) + (k % 3 == 0), k
+        assert _rank(rows, n) == n, k
 
 
-def test_tie_break_dependent_cubic_weight_raises(monkeypatch):
-    # at (3, 2) mixed_c[2] is pinned to zero; put the cubic column in its
-    # place, and the cubic column, now a copy of an earlier one, is no pivot
-    index = [e.name for e in build_catalogue(3, 2)].index("mixed_c[2]")
+@pytest.mark.parametrize("k,p,replaced,name,residual", [
+    # at (3, 2) the cubic column replaced by a copy of aligned_u[1]'s
+    (3, 2, -1, "the cubic term", cubic_density(3, 2)),
+    # at (2, 2) mixed_u[1]'s column replaced by a copy of aligned_u[1]'s
+    (2, 2, 1, "mixed_u[1]", build_catalogue(2, 2)[1].density),
+], ids=["cubic", "catalogue"])
+def test_a_column_without_a_pivot_raises(monkeypatch, k, p, replaced, name, residual):
     original = energy_module._split_real_rows
 
-    def cubic_in_span(columns, rhs):
+    def dependent(columns, rhs):
         columns = list(columns)
-        columns[index] = columns[-1]
+        columns[replaced] = columns[0]
         return original(columns, rhs)
 
-    monkeypatch.setattr(energy_module, "_split_real_rows", cubic_in_span)
-    with pytest.raises(InfeasibleSystemError, match="depends on the tie-break") as info:
-        solve_energy(3, 2)
-    assert info.value.residual == cubic_density(3, 2)
+    monkeypatch.setattr(energy_module, "_split_real_rows", dependent)
+    with pytest.raises(InfeasibleSystemError, match=f"not full rank: the column of "
+                                                    rf"{re.escape(name)} lies") as info:
+        solve_energy(k, p)
+    assert info.value.residual == residual
 
 
 def test_cubic_coefficient_mismatch_raises(monkeypatch):
-    def bump_cubic_weight(rows, n, solution, leftover, pivots):
-        return solution[:-1] + [solution[-1] + 1], leftover, pivots
+    def bump_cubic_weight(rows, n, values, leftover):
+        return {**values, n - 1: values[n - 1] + 1}, leftover
 
     _spied_solver(monkeypatch, bump_cubic_weight)
     with pytest.raises(InfeasibleSystemError, match="differs from the solved weight") as info:

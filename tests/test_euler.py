@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euler_operator import euler_image, euler_images, is_total_derivative, total_derivative
+from euler_operator import euler_image, is_total_derivative, polynomial, total_derivative
 from nlsenergy.algebra import Density, dt_evolution, dt_nonlinear
 from nlsenergy.energy import (Family, build_catalogue, correction_density,
                               hamiltonian_density, mass_density, solve_energy)
@@ -90,6 +90,6 @@ def test_the_k3_rewrite_of_the_top_mixed_correction(p):
 
 def test_a_nonzero_image_names_the_offending_terms():
     # |u|^2: dL/du_0 = conj(u), dL/dconj(u)_0 = u
-    u_image, c_image = euler_images(Density.monomial((0,), (0,)))
-    assert u_image == {(0, (), (0,)): 1}
-    assert c_image == {(0, (0,), ()): 1}
+    poly = polynomial(Density.monomial((0,), (0,)))
+    assert euler_image(poly) == {(0, (), (0,)): 1}
+    assert euler_image(poly, conjugated=True) == {(0, (0,), ()): 1}

@@ -342,8 +342,9 @@ def solve_energy(k: int, p: int) -> EnergyDefinition:
     columns = [reducer.reduce(dt_linear(e.density)).residual for e in catalogue]
     candidates = [(e.name, e.density) for e in catalogue]
     if k % 3 == 0:
-        columns.append(-1 * reducer.reduce(cubic_density(k, p)).residual)
-        candidates.append(("the cubic term", cubic_density(k, p)))
+        cubic = cubic_density(k, p)
+        columns.append(-1 * reducer.reduce(cubic).residual)
+        candidates.append(("the cubic term", cubic))
     values, leftover = _solve(_split_real_rows(columns, rhs), len(columns))
     for col, (name, density) in enumerate(candidates):
         if col not in values:
@@ -362,7 +363,7 @@ def solve_energy(k: int, p: int) -> EnergyDefinition:
         raise InfeasibleSystemError(
             f"assembled cubic coefficient {energy.cubic_coefficient} for (k={k}, p={p}) "
             f"differs from the solved weight {solution[-1]}",
-            cubic_density(k, p) * (energy.cubic_coefficient - solution[-1]))
+            cubic * (energy.cubic_coefficient - solution[-1]))
     return energy
 
 

@@ -12,7 +12,6 @@ from .energy import (CatalogueEntry, CorrectionReductionError, EnergyDefinition,
                      solve_energy, verify_exact_conservation, verify_identities)
 from .harness import RunConfig, format_csv, run_experiment, write_report
 from .rational import GaussianRational
-from .reduction import (MonomialClass, ReductionResult, SectorReducer, classify,
-                        enumerate_monomials, ibp_generators)
+from .reduction import MonomialClass, ReductionResult, SectorReducer, classify
 from .spectral import (BlowupError, DensityPlan, SolverConfig, evolve, l2_norm,
                        plane_wave, random_state, sobolev_norm, wavenumbers)

@@ -33,8 +33,7 @@ from pathlib import Path
 from .algebra import (Density, Monomial, PowerImage, density_to_text,
                       dt_evolution, dt_linear, dt_nonlinear)
 from .rational import GaussianRational
-from .reduction import (MonomialClass, SectorReducer, classify, ibp_generators,
-                        reduce_by_sector)
+from .reduction import MonomialClass, SectorReducer, classify, reduce_by_sector
 
 SCHEMA_VERSION = 3
 
@@ -191,16 +190,14 @@ def cubic_density(k: int, p: int) -> Density:
 def dispersive_reducer(k: int, p: int) -> SectorReducer:
     """Cached echelon of the dispersive sector (p+1, p+1, 2k).
 
-    Allowed coordinates: the quartic-remainder monomials.  Shared by the
-    solver, identity verification, and document validation; the one
-    cached echelon of this module.
+    Allowed coordinates: the monomials with four or more derivative-bearing
+    factors, which in this sector are the quartic remainder class.  Shared
+    by the solver, identity verification, and document validation; the one
+    cached reducer of this module.  It builds each row the first time a
+    reduction meets its pivot and keeps it, so later reductions of the
+    same (k, p) reuse the rows earlier ones built.
     """
-    # it builds only the generators that survive projection: a product with
-    # four or more derivative-bearing factors differentiates into terms with
-    # at least as many, all allowed, so those products are never walked
-    return SectorReducer(
-        ibp_generators((p + 1, p + 1, 2 * k), max_derivative_factors=3),
-        lambda m: classify(m, k, p) is MonomialClass.QUARTIC_REMAINDER)
+    return SectorReducer((p + 1, p + 1, 2 * k), max_derivative_factors=3)
 
 
 @dataclass
@@ -557,8 +554,9 @@ def verify_identities(k: int, p: int) -> IdentityReport:
               basic_density(Family.MIXED_C, k, 1, p)
               + basic_density(Family.MIXED_U, k, 0, p))
         # expression rewrite of the top mixed_c correction: one integration
-        # by parts, no remainder class involved; the echelon of its sector
-        # (p+1, p+1, 4) is small and built once, so it is not cached
+        # by parts, no remainder class involved; a reducer of its sector
+        # (p+1, p+1, 4) builds only the few rows this rewrite meets, so it
+        # is not cached
         extra = Density.monomial(_orders(2, 1, 1, pad=p - 2), _orders(pad=p + 1)).re_part()
         delta = (correction_density(Family.MIXED_C, k, 2, p)
                  + correction_density(Family.ALIGNED_U, k, 1, p)

@@ -3,40 +3,44 @@
 Monomials split into *sectors* labelled by (#unconjugated factors,
 #conjugated factors, total derivative order); every operation here works
 inside one sector.  The integration-by-parts (IBP) span of a sector is
-generated by total derivatives: for each product F one order lower, the
-relation  integral d[F] = 0  expands by the Leibniz rule to a linear
-combination of sector monomials.
+generated by total derivatives: for each *base*, a product of signature
+(n_u, n_c, total-1), the relation  integral d[base] = 0  expands by the
+Leibniz rule to a linear combination of sector monomials.
 
-Equivalence of densities modulo IBP plus a class of *allowed* monomials is
-decided by exact linear algebra: the allowed class is a predicate on
-monomials (in practice membership in one :class:`MonomialClass`, see
-:func:`classify`), the generators are put in echelon form over the other
-coordinates with a fixed monomial order, and membership is read off the
-unique remainder.  Each echelon row carries its allowed coordinates along,
-so the same elimination that yields the remainder also yields the allowed
-part of the expression.  No directed rewriting is involved, so the
-residual does not depend on the order in which generators are supplied.
+Equivalence of densities modulo IBP plus a class of *allowed* monomials,
+those with more than a cap of derivative-bearing factors (in the
+dispersive sector exactly the quartic remainder class, see
+:func:`classify`), is decided by exact linear algebra: the generators are
+put in echelon form over the other coordinates with a fixed monomial
+order, and membership is read off the unique remainder.  Each echelon row
+carries its allowed coordinates along, so the same elimination that
+yields the remainder also yields the allowed part of the expression.
 
-A generator whose Leibniz terms are all allowed projects to an empty row
-and never enters the echelon, so callers that know which products
-differentiate into allowed terms only leave those generators out; the
-one cached reducer, :func:`nlsenergy.energy.dispersive_reducer`, builds
-only the generators that survive projection.  Its products to leave out
-are those with too many derivative-bearing factors (the quartic
-remainder of the dispersive sector), so the walk itself is capped
-(`max_derivative_factors` of :func:`ibp_generators` and
-:func:`enumerate_monomials`): it prunes every branch that would exceed
-the cap, so its work follows what it keeps, 1,054 bases at
-(k, p) = (20, 5) where the full walk has 1,378,404.
+The echelon is known in closed form, by a lemma.  In canonical order the
+leading term of d[base] bumps the largest unconjugated order of the base.
+That bump is allowed only when the unconjugated block is all zeros and
+the base already has `cap` derivative-bearing factors; then the leading
+non-allowed term bumps the largest conjugated order instead.  Lowering
+the top of the bumped block of the leading term by one gives the base
+back, so distinct bases lead at distinct monomials: the generators are
+already an echelon, and each row is its generator divided by its
+coefficient at the pivot.  A base with more than `cap` derivative-bearing
+factors differentiates into allowed terms only and adds no row.  So no
+elimination is run to build the echelon: a reduction builds a row when
+it first meets its pivot, from the at most two bases the pivot can come
+from, and keeps it.  The reductions of a (12, 4) solve, its assembly and
+its identity checks build 230 of the dispersive sector's 376 rows, and
+at (24, 5) 936 of 1,520.  `tests/echelon_oracle.py` checks the rows and
+residuals against the eager elimination.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from .algebra import Density, Monomial, _monomial, bounded_partitions
+from .algebra import Density, Monomial, _monomial
 from .rational import GaussianRational, _reduced
 
 Signature = tuple[int, int, int]
@@ -44,66 +48,6 @@ Signature = tuple[int, int, int]
 
 class SignatureMismatchError(ValueError):
     """Inputs of a sector computation mix different signatures."""
-
-
-def enumerate_monomials(signature: Signature, max_order: int,
-                        max_derivative_factors: int | None = None) -> list[Monomial]:
-    """All sector monomials with every derivative order <= max_order, and
-    at most `max_derivative_factors` factors carrying a derivative if given.
-
-    Deterministic order: unconjugated block descending first, then the
-    conjugated block.  The capped walk gives the conjugated block the
-    derivative factors its unconjugated block left unused, so its result
-    is, in order, the uncapped one filtered by
-    ``derivative_factor_count <= max_derivative_factors``, without visiting
-    the monomials that filter would drop.
-    """
-    n_u, n_c, total = signature
-    out = []
-    for s_u in range(total, -1, -1):
-        s_c = total - s_u
-        for uo in bounded_partitions(s_u, n_u, max_order, max_derivative_factors):
-            left = (None if max_derivative_factors is None
-                    else max_derivative_factors - n_u + uo.count(0))
-            for co in bounded_partitions(s_c, n_c, max_order, left):
-                out.append(_monomial(uo, co))
-    return out
-
-
-def ibp_generators(signature: Signature,
-                   max_derivative_factors: int | None = None) -> list[Density]:
-    """Total-derivative relations spanning the IBP subspace of a sector.
-
-    One generator per product of signature (n_u, n_c, total-1): the Leibniz
-    expansion of its derivative, all coefficients +1.  Uncapped, this is
-    the complete IBP span of the sector.  A caller leaves out the products
-    whose every Leibniz term is in its allowed class, since their
-    generators project to zero, by `max_derivative_factors`: it limits the
-    products walked to those with at most that many derivative-bearing
-    factors (the rest are never enumerated).
-    """
-    n_u, n_c, total = signature
-    if total == 0:
-        return []
-    counts = [GaussianRational(n) for n in range(n_u + n_c + 1)]
-    gens = []
-    for base in enumerate_monomials((n_u, n_c, total - 1), total - 1,
-                                    max_derivative_factors):
-        # the terms of equal factors coincide, so each term's coefficient
-        # is its multiplicity
-        multiplicity: dict[Monomial, int] = {}
-        for idx in range(n_u):
-            lst = list(base.u_orders)
-            lst[idx] += 1
-            m = _monomial(lst, base.c_orders)
-            multiplicity[m] = multiplicity.get(m, 0) + 1
-        for idx in range(n_c):
-            lst = list(base.c_orders)
-            lst[idx] += 1
-            m = _monomial(base.u_orders, lst)
-            multiplicity[m] = multiplicity.get(m, 0) + 1
-        gens.append(Density({m: counts[n] for m, n in multiplicity.items()}))
-    return gens
 
 
 class MonomialClass(enum.Enum):
@@ -141,10 +85,6 @@ class ReductionResult:
     allowed_part: Density
 
 
-def _nothing_allowed(m: Monomial) -> bool:
-    return False
-
-
 def _subtract(acc: dict, factor: GaussianRational, row: dict):
     """acc -= factor * row, dropping the coordinates that cancel.
 
@@ -173,53 +113,84 @@ def _subtract(acc: dict, factor: GaussianRational, row: dict):
 
 
 class SectorReducer:
-    """Echelon form of a generator span, reusable across many reductions.
+    """Echelon form of the IBP span of one sector, reusable across many
+    reductions.
 
-    `allowed` is a predicate on monomials: the monomials it accepts are
-    coordinates that membership testing may use freely.  The cached
-    dispersive reducer allows the quartic remainder class; without a
-    predicate, the residual decides membership in the span alone.
-    Allowed coordinates take no part in pivoting: each echelon row keeps
-    them beside its normalized row over the eliminated coordinates, and a
-    reduction subtracts both as it eliminates, so the `allowed_part` of
-    each result is what the elimination leaves on the allowed
-    coordinates.  A generator with only allowed terms adds nothing to the
-    echelon and may be left out.  The generators themselves are not kept.
-    Pivoting is deterministic: the largest monomial in canonical order is
-    eliminated first.
+    Monomials with more than `max_derivative_factors` derivative-bearing
+    factors are allowed: coordinates that membership testing may use
+    freely.  The cached dispersive reducer caps at 3, which allows the
+    quartic remainder class; uncapped, nothing is allowed and the
+    residual decides membership in the span alone.  Allowed coordinates
+    take no part in pivoting: each echelon row keeps them beside its
+    normalized row over the eliminated coordinates, and a reduction
+    subtracts both as it eliminates, so the `allowed_part` of each result
+    is what the elimination leaves on the allowed coordinates.  Each row
+    is built the first time a reduction meets its pivot (see the module
+    docstring) and kept; constructing a reducer builds none.  Pivoting is
+    deterministic: the largest monomial in canonical order is eliminated
+    first.
     """
 
-    def __init__(self, generators: Sequence[Density],
-                 allowed: Callable[[Monomial], bool] | None = None):
-        self.allowed = _nothing_allowed if allowed is None else allowed
-        sigs: set[Signature] = set()
-        for g in generators:
-            sigs |= g.signatures()
-        if len(sigs) > 1:
-            raise SignatureMismatchError(f"mixed signatures in sector inputs: {sorted(sigs)}")
-        self.signature = next(iter(sigs)) if sigs else None
-        # pivot monomial -> (normalized row, its allowed coordinates)
-        self._rows: dict[Monomial, tuple[dict, dict]] = {}
-        for g in generators:
-            row, alw = self._split(g)
-            pivot = next(self._eliminate(row, alw), None)
-            if pivot is not None:
-                inv = GaussianRational(1) / row[pivot]
-                self._rows[pivot] = ({m: c * inv for m, c in row.items()},
-                                     {m: c * inv for m, c in alw.items()})
+    def __init__(self, signature: Signature, max_derivative_factors: int | None = None):
+        cap = max_derivative_factors
+        if cap is not None and (type(cap) is not int or cap < 0):
+            raise ValueError(
+                f"max_derivative_factors must be None or an int >= 0, got {cap!r}")
+        self.signature = tuple(signature)
+        self.max_derivative_factors = cap
+        # leading monomial -> (normalized row, its allowed coordinates), or
+        # None when no base leads there
+        self._rows: dict[Monomial, tuple[dict, dict] | None] = {}
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        """The number of rows, built or not: one per base with at most
+        `max_derivative_factors` derivative-bearing factors, counted by
+        the blocks' partitions, and none under a cap of 0."""
+        n_u, n_c, total = self.signature
+        cap = self.max_derivative_factors
+        if total == 0 or cap == 0 or n_u + n_c == 0:
+            return 0
+        if cap is None:
+            cap = n_u + n_c
+        t = total - 1
+        return sum(_partitions(s, a) * _partitions(t - s, b)
+                   for s in range(t + 1) for a in range(min(n_u, cap) + 1)
+                   for b in range(min(n_c, cap - a) + 1))
 
-    def _split(self, d: Density) -> tuple[dict, dict]:
-        """The terms of `d` on the eliminated and on the allowed coordinates."""
-        allowed = self.allowed
-        row: dict[Monomial, GaussianRational] = {}
-        alw: dict[Monomial, GaussianRational] = {}
-        for m, c in d._terms.items():
-            (alw if allowed(m) else row)[m] = c
+    def _split(self, terms: dict) -> tuple[dict, dict]:
+        """`terms` on the eliminated and on the allowed coordinates."""
+        cap = self.max_derivative_factors
+        if cap is None:
+            return dict(terms), {}
+        row: dict = {}
+        alw: dict = {}
+        for m, c in terms.items():
+            (alw if m.derivative_factor_count > cap else row)[m] = c
         return row, alw
+
+    def _row(self, lead: Monomial) -> tuple[dict, dict] | None:
+        """The row pivoting at `lead`, or None if no base leads there.
+
+        Only a base that is `lead` with the top of one block lowered by
+        one can lead there, and only if it has at most the cap of
+        derivative-bearing factors."""
+        cap = self.max_derivative_factors
+        u, c = lead.u_orders, lead.c_orders
+        bases = []
+        if u and u[0]:
+            bases.append(_monomial((u[0] - 1,) + u[1:], c))
+        if c and c[0]:
+            bases.append(_monomial(u, (c[0] - 1,) + c[1:]))
+        for base in bases:
+            if cap is not None and base.derivative_factor_count > cap:
+                continue
+            row, alw = self._split(_generator(base))
+            if row and max(row, key=Monomial.sort_key) == lead:
+                den = row[lead]
+                return ({m: _reduced(n, 0, den) for m, n in row.items()},
+                        {m: _reduced(n, 0, den) for m, n in alw.items()})
+        return None
 
     def _eliminate(self, row: dict, alw: dict):
         """Subtract echelon rows from `row`, and their allowed coordinates
@@ -228,7 +199,10 @@ class SectorReducer:
         rows = self._rows
         while row:
             pivot = max(row, key=Monomial.sort_key)
-            hit = rows.get(pivot)
+            if pivot in rows:
+                hit = rows[pivot]
+            else:
+                hit = rows[pivot] = self._row(pivot)
             if hit is None:
                 yield pivot
                 continue
@@ -238,14 +212,39 @@ class SectorReducer:
             _subtract(alw, factor, ealw)
 
     def reduce(self, expr: Density) -> ReductionResult:
-        if self.signature is not None:
-            bad = expr.signatures() - {self.signature}
-            if bad:
-                raise SignatureMismatchError(
-                    f"expression signatures {sorted(bad)} outside sector {self.signature}")
-        row, alw = self._split(expr)
+        bad = expr.signatures() - {self.signature}
+        if bad:
+            raise SignatureMismatchError(
+                f"expression signatures {sorted(bad)} outside sector {self.signature}")
+        row, alw = self._split(expr._terms)
         residual = {pivot: row.pop(pivot) for pivot in self._eliminate(row, alw)}
         return ReductionResult(Density(residual), Density(alw))
+
+
+def _generator(base: Monomial) -> dict[Monomial, int]:
+    """The Leibniz expansion of d[base]: bumping any of several equal
+    factors gives the same term, so each term's coefficient is the number
+    of factors of the order it bumps."""
+    u, c = base.u_orders, base.c_orders
+    terms: dict[Monomial, int] = {}
+    for i, o in enumerate(u):
+        if i == 0 or u[i - 1] != o:
+            terms[_monomial(u[:i] + (o + 1,) + u[i + 1:], c)] = u.count(o)
+    for i, o in enumerate(c):
+        if i == 0 or c[i - 1] != o:
+            terms[_monomial(u, c[:i] + (o + 1,) + c[i + 1:])] = c.count(o)
+    return terms
+
+
+@functools.lru_cache(maxsize=None)
+def _partitions(total: int, parts: int) -> int:
+    """The partitions of `total` into exactly `parts` positive parts."""
+    if parts == 0:
+        return int(total == 0)
+    if total < parts:
+        return 0
+    # the smallest part is 1, or every part is at least 2
+    return _partitions(total - 1, parts - 1) + _partitions(total - parts, parts)
 
 
 def reduce_by_sector(expr: Density) -> dict[Signature, Density]:
@@ -254,11 +253,11 @@ def reduce_by_sector(expr: Density) -> dict[Signature, Density]:
     integrates to zero.
 
     Integration by parts keeps a sector, so `expr` is split by signature
-    in one pass and each part is reduced on its own, by an echelon built
+    in one pass and each part is reduced on its own, by a reducer made
     for this call.
     """
     parts: dict[Signature, dict[Monomial, GaussianRational]] = {}
     for m, c in expr._terms.items():
         parts.setdefault(m.signature, {})[m] = c
-    return {sig: SectorReducer(ibp_generators(sig)).reduce(Density(parts[sig])).residual
+    return {sig: SectorReducer(sig).reduce(Density(parts[sig])).residual
             for sig in sorted(parts)}

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlsenergy
+from echelon_oracle import enumerate_monomials
 from nlsenergy import algebra as algebra_module
 from nlsenergy import energy as energy_module
 from nlsenergy.algebra import (Density, Monomial, density_from_text,
@@ -33,7 +34,6 @@ from nlsenergy.energy import (FAMILY_ORDER, POWER_IMAGE_REFERENCE,
 from nlsenergy.harness import RunConfig, compile_plans, initial_state, observe
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer, classify,
-                                 enumerate_monomials, ibp_generators,
                                  reduce_by_sector)
 
 DATA = Path(__file__).parent / "data"
@@ -245,7 +245,7 @@ def test_hk_derivative_linear_part_integrates_to_zero():
     for k in (2, 3, 4):
         flow = dt_linear(Density.monomial((k,), (k,)))
         sig = (1, 1, 2 * k + 2)
-        res = SectorReducer(ibp_generators(sig)).reduce(flow)
+        res = SectorReducer(sig).reduce(flow)
         assert res.residual.is_zero
 
 
@@ -650,24 +650,25 @@ def test_import_rejects_an_equivalent_rewrite_of_the_correction():
     shift = _parts_shift(Monomial((2, 2, 0), (1, 0, 0))).re_part()
     # a total derivative inside the correction sector: the same energy
     # modulo integration by parts, but not the one the coefficients state
-    assert SectorReducer(ibp_generators((3, 3, 6))).reduce(shift).residual.is_zero
+    assert SectorReducer((3, 3, 6)).reduce(shift).residual.is_zero
     shifted = _assemble(4, 2, energy.coefficients, energy.correction + shift,
                         _POWER_4_2)
     with pytest.raises(EnergyDocumentError, match="F_k"):
         import_energy(export_energy(shifted))
 
 
-def test_rejecting_a_perturbed_coefficient_builds_no_ibp_generators(monkeypatch):
+def test_rejecting_a_perturbed_coefficient_builds_no_reducer_row(monkeypatch):
     doc = export_energy(solve_energy(4, 2))
     doc["coefficients"]["mixed_u[1]"] = str(Fraction(doc["coefficients"]["mixed_u[1]"]) + 1)
     built = []
+    build_row = SectorReducer._row
 
-    def counting_generators(sector, **kwargs):
-        built.append(sector)
-        return ibp_generators(sector, **kwargs)
+    def counting_row(reducer, lead):
+        built.append(lead)
+        return build_row(reducer, lead)
 
-    monkeypatch.setattr(energy_module, "ibp_generators", counting_generators)
-    # a cached echelon would hide a build; its next user rebuilds it
+    monkeypatch.setattr(SectorReducer, "_row", counting_row)
+    # a cached reducer's rows would hide a build; its next user rebuilds them
     for value in vars(energy_module).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echelon_oracle import (EagerReducer, echelon_mismatches, enumerate_monomials,
+                            full_span_oracle, ibp_generators)
 from euler_operator import is_total_derivative
 from nlsenergy import energy as energy_module
 from nlsenergy.algebra import Density, Monomial
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer,
                                  SignatureMismatchError, classify,
-                                 enumerate_monomials, ibp_generators,
                                  reduce_by_sector)
 from nlsenergy.spectral import DensityPlan, random_state
 
@@ -70,6 +71,8 @@ def test_capped_generators_are_the_filtered_generators():
 def test_dispersive_walk_keeps_the_bases_with_at_most_three_derivative_factors(k, p, kept):
     bases = enumerate_monomials((p + 1, p + 1, 2 * k - 1), 2 * k - 1, 3)
     assert len(bases) == kept
+    # one row per base, counted without walking them
+    assert energy_module.dispersive_reducer(k, p).rank == kept
 
 
 def test_generators_are_total_derivatives():
@@ -102,8 +105,8 @@ def test_classification_precedence():
 
 @functools.lru_cache(maxsize=None)
 def _ibp_span(signature):
-    """Echelon of the full, unpruned IBP span of a sector, nothing allowed."""
-    return SectorReducer(ibp_generators(signature))
+    """Echelon of the full IBP span of a sector, nothing allowed."""
+    return SectorReducer(signature)
 
 
 def _assert_integrates_by_parts_to_zero(expr, res):
@@ -119,16 +122,24 @@ def _assert_integrates_by_parts_to_zero(expr, res):
         assert abs(value) <= 1e-12 * value.term_scale
 
 
-@pytest.mark.parametrize("allowed", [
-    None, lambda m: m.derivative_factor_count >= 3, lambda m: m.max_order <= 2,
+def _orders_at_most_two(m):
+    return m.max_order <= 2
+
+
+@pytest.mark.parametrize("reducer,allowed", [
+    (lambda sig: SectorReducer(sig), None),
+    (lambda sig: SectorReducer(sig, 2), lambda m: m.derivative_factor_count >= 3),
+    # a class no derivative-factor cap states: the eager oracle takes any
+    (lambda sig: EagerReducer(ibp_generators(sig), _orders_at_most_two),
+     _orders_at_most_two),
 ], ids=["nothing", "three_derivative_factors", "orders_at_most_two"])
-def test_reduction_leaves_a_total_derivative(allowed):
+def test_reduction_leaves_a_total_derivative(reducer, allowed):
     sig = (2, 2, 6)
     expr = Density.monomial((3, 2), (1, 0)) \
         + Density.monomial((2, 2), (2, 0)) * GaussianRational(0, 1) \
         - Density.monomial((4, 1), (1, 0)) * Fraction(5, 3) \
         + Density.monomial((2, 1), (2, 1)) * Fraction(2, 7)
-    res = SectorReducer(ibp_generators(sig), allowed).reduce(expr)
+    res = reducer(sig).reduce(expr)
     assert res.residual != expr
     if allowed is not None:
         assert not res.allowed_part.is_zero
@@ -138,24 +149,26 @@ def test_reduction_leaves_a_total_derivative(allowed):
 
 
 def test_residual_is_independent_of_generator_order():
+    # the eager echelon takes its generators in any order; the closed form
+    # takes none, and its residual is the same
     sig = (3, 3, 4)
     gens = ibp_generators(sig)
     expr = Density.monomial((2, 1, 0), (1, 0, 0)) \
         + Density.monomial((1, 1, 1), (1, 0, 0)) * Fraction(3, 7)
-    base = SectorReducer(gens).reduce(expr).residual
+    base = SectorReducer(sig).reduce(expr).residual
+    assert not base.is_zero
     rng = random.Random(11)
     for _ in range(3):
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        assert SectorReducer(shuffled).reduce(expr).residual == base
+        assert EagerReducer(shuffled).reduce(expr).residual == base
 
 
 def test_allowed_monomials_pass_through():
     sig = (2, 2, 4)
     allowed = [m for m in enumerate_monomials(sig, 4)
                if m.derivative_factor_count >= 4]
-    red = SectorReducer(ibp_generators(sig),
-                        lambda m: m.derivative_factor_count >= 4)
+    red = SectorReducer(sig, 3)
     expr = Density({allowed[0]: GaussianRational(5)})
     res = red.reduce(expr)
     assert res.residual.is_zero
@@ -163,7 +176,7 @@ def test_allowed_monomials_pass_through():
 
 
 def test_mixed_signature_input_rejected():
-    red = SectorReducer(ibp_generators((1, 1, 2)))
+    red = SectorReducer((1, 1, 2))
     bad = Density.monomial((1,), (1,)) + Density.monomial((2,), (2,))
     with pytest.raises(SignatureMismatchError):
         red.reduce(bad)
@@ -179,13 +192,13 @@ def test_reduce_by_sector_reduces_each_sector_over_its_span():
     for sig, residual in got.items():
         part = Density.from_terms((m, c) for m, c in expr.terms() if m.signature == sig)
         assert not residual.is_zero or sig == (1, 1, 3)
-        assert residual == SectorReducer(ibp_generators(sig)).reduce(part).residual
+        assert residual == full_span_oracle(sig).reduce(part).residual
     # d[d^1 u conj(u)] is a total derivative: its sector reduces to zero
     assert got[(1, 1, 3)].is_zero
     assert reduce_by_sector(Density.zero()) == {}
 
 
-# -- the cached reducers build only the generators that survive projection ---
+# -- the cached reducers' rows are the generators that survive projection ---
 
 _CACHED = {
     # name: (cached reducer, sector, allowed class)
@@ -202,8 +215,9 @@ def _allowed(name, k, p):
 
 @functools.lru_cache(maxsize=None)
 def _full_span_reducer(name, k, p):
+    """The eager echelon of every generator of the sector, projected."""
     sector = _CACHED[name][1](k, p)
-    return SectorReducer(ibp_generators(sector), _allowed(name, k, p))
+    return EagerReducer(ibp_generators(sector), _allowed(name, k, p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,22 +227,17 @@ def _sector_monomials(name, k, p):
 
 
 @pytest.mark.parametrize("name,k,p", _GRID)
-def test_cached_reducers_keep_exactly_the_generators_that_survive_projection(
-        name, k, p, monkeypatch):
-    built = []
-
-    def recording_reducer(generators, allowed=None):
-        built.append(list(generators))
-        return SectorReducer(built[-1], allowed)
-
-    monkeypatch.setattr(energy_module, "SectorReducer", recording_reducer)
+def test_cached_reducers_keep_exactly_the_generators_that_survive_projection(name, k, p):
     pruned = _CACHED[name][0].__wrapped__(k, p)
+    assert pruned._rows == {}
     allowed = _allowed(name, k, p)
     sector = _CACHED[name][1](k, p)
     surviving = [g for g in ibp_generators(sector)
                  if not all(allowed(m) for m in g.monomials())]
-    assert built == [surviving]
-    assert pruned.rank == _full_span_reducer(name, k, p).rank
+    assert pruned.rank == len(surviving)
+    # the eager echelon of every generator has the same pivots and rows,
+    # and its elimination subtracted nothing
+    assert echelon_mismatches(pruned, _full_span_reducer(name, k, p)) == []
 
 
 _gaussian = st.builds(GaussianRational,

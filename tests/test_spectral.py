@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echelon_oracle import ibp_generators
 from nlsenergy.algebra import Density, Monomial, PowerImage, dt_nonlinear
 from nlsenergy.energy import (build_catalogue, hamiltonian_density,
                               quadratic_density, solve_energy)
 from nlsenergy.rational import GaussianRational
-from nlsenergy.reduction import ibp_generators
 from nlsenergy.spectral import (BlowupError, DensityPlan, SolverConfig,
                                 _pocketfft, evolve, l2_norm, plane_wave,
                                 random_state, sobolev_norm, wavenumbers)

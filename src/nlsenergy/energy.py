@@ -10,9 +10,11 @@ correction F made of correction-class densities such that
                                 [+ cubic_coefficient * cubic term if 3 | k]
 
 modulo integration by parts.  The correction coefficients solve a small
-linear system obtained by reducing the dispersive-substitution images of a
-fixed catalogue of candidate densities.  The catalogue is chosen so that
-the system has full rank: its solution, when there is one, is unique.
+linear system, with the cubic weight as its last unknown, obtained by
+reducing the dispersive-substitution images of a fixed catalogue of
+candidate densities.  The catalogue is chosen so that the system has full
+rank: its solution, when there is one, is unique.  `_assemble` checks the
+identity, once, for a solved energy and for a stated one alike.
 
 residual_nonlinear is the power image dt_nonlinear(F), which the solve,
 the documents and their validation keep unexpanded: its class follows
@@ -30,8 +32,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
-from .algebra import (Density, Monomial, PowerImage, density_to_text,
-                      dt_evolution, dt_linear, dt_nonlinear)
+from .algebra import (Density, Monomial, PowerImage, _check_exponent,
+                      density_to_text, dt_evolution, dt_linear, dt_nonlinear)
 from .rational import GaussianRational
 from .reduction import MonomialClass, SectorReducer, classify, reduce_by_sector
 
@@ -156,8 +158,7 @@ def build_catalogue(k: int, p: int) -> list[CatalogueEntry]:
 def _check_kp(k: int, p: int):
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"Sobolev index k must be an int >= 2, got {k!r}")
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"nonlinearity exponent p must be an int >= 2, got {p!r}")
+    _check_exponent(p)
 
 
 def quadratic_density(k: int) -> Density:
@@ -280,25 +281,22 @@ def _split_real_rows(columns: list[Density], rhs: Density) -> list[list[int]]:
     return rows
 
 
-def _solve(rows: list[list[int]], n: int) -> tuple[dict[int, Fraction], list[list[int]]]:
+def _solve(rows: list[list[int]], n: int) -> dict[int, Fraction]:
     """Gauss-Jordan elimination in column order.
 
     Rows stay integral: a pivot row P clears its column from a row R as
     a*R - b*P with a/b = P[col]/R[col] in lowest terms, and each new row
     is divided by the gcd of its entries.  A column is a pivot exactly
     when it lies outside the span of the columns before it.  Returns the
-    value of each pivot column, which is the solution when every column
-    is a pivot, and the unsatisfied rows.
+    value of each pivot column: the solution when every column is a
+    pivot and the system is consistent, which `_assemble` checks.
     """
     rows = list(rows)  # rows are replaced, never changed in place
     assigned: dict[int, int] = {}  # column -> pivot row index
     used_rows: set[int] = set()
     for col in range(n):
-        pivot_row = None
-        for ridx, r in enumerate(rows):
-            if ridx not in used_rows and r[col]:
-                pivot_row = ridx
-                break
+        pivot_row = next((ridx for ridx, r in enumerate(rows)
+                          if ridx not in used_rows and r[col]), None)
         if pivot_row is None:
             continue
         prow = rows[pivot_row]
@@ -316,9 +314,7 @@ def _solve(rows: list[list[int]], n: int) -> tuple[dict[int, Fraction], list[lis
             rows[ridx] = new
         assigned[col] = pivot_row
         used_rows.add(pivot_row)
-    values = {col: Fraction(rows[ridx][n], rows[ridx][col]) for col, ridx in assigned.items()}
-    leftover = [r for ridx, r in enumerate(rows) if ridx not in used_rows and r[n]]
-    return values, leftover
+    return {col: Fraction(rows[ridx][n], rows[ridx][col]) for col, ridx in assigned.items()}
 
 
 def solve_energy(k: int, p: int) -> EnergyDefinition:
@@ -327,41 +323,29 @@ def solve_energy(k: int, p: int) -> EnergyDefinition:
     Results are not cached: every call solves afresh, so a caller keeps
     the energy it needs.  Raises InfeasibleSystemError if a column lies in
     the span of the columns before it, with that candidate as the residual,
-    or if no exact solution exists (the solver is generic; solvability for
-    each supported (k, p) is what the oracle and acceptance suites
-    establish).
+    or from `_assemble` if the solution leaves a remainder: with full rank,
+    exactly when the system has no exact solution (the solver is generic;
+    solvability for each supported (k, p) is what the oracle and
+    acceptance suites establish).
     """
     catalogue = build_catalogue(k, p)
     reducer = dispersive_reducer(k, p)
     # the power part of d/dt |d^k u|^2, also a summand of the derivative
     power = dt_nonlinear(Density.monomial((k,), (k,)), p)
     rhs = -1 * reducer.reduce(power).residual
-    columns = [reducer.reduce(dt_linear(e.density)).residual for e in catalogue]
-    candidates = [(e.name, e.density) for e in catalogue]
+    candidates = [(e.name, e.density, dt_linear(e.density)) for e in catalogue]
     if k % 3 == 0:
-        cubic = cubic_density(k, p)
-        columns.append(-1 * reducer.reduce(cubic).residual)
-        candidates.append(("the cubic term", cubic))
-    values, leftover = _solve(_split_real_rows(columns, rhs), len(columns))
-    for col, (name, density) in enumerate(candidates):
+        candidates.append(("the cubic term", cubic_density(k, p), -1 * cubic_density(k, p)))
+    columns = [reducer.reduce(image).residual for _, _, image in candidates]
+    values = _solve(_split_real_rows(columns, rhs), len(columns))
+    for col, (name, density, _) in enumerate(candidates):
         if col not in values:
             raise InfeasibleSystemError(
                 f"cancellation system for (k={k}, p={p}) is not full rank: the column "
                 f"of {name} lies in the span of the columns before it", density)
-    if leftover:
-        raise InfeasibleSystemError(
-            f"cancellation system for (k={k}, p={p}) is infeasible; "
-            f"{len(leftover)} unsatisfied equations", -1 * rhs)
-    solution = [values[col] for col in range(len(columns))]
-
-    coefficients = {entry.name: value for entry, value in zip(catalogue, solution)}
-    energy = _assemble(k, p, coefficients, _combine(catalogue, coefficients), power)
-    if k % 3 == 0 and energy.cubic_coefficient != solution[-1]:
-        raise InfeasibleSystemError(
-            f"assembled cubic coefficient {energy.cubic_coefficient} for (k={k}, p={p}) "
-            f"differs from the solved weight {solution[-1]}",
-            cubic * (energy.cubic_coefficient - solution[-1]))
-    return energy
+    coefficients = {entry.name: values[col] for col, entry in enumerate(catalogue)}
+    return _assemble(k, p, coefficients, values.get(len(catalogue), Fraction(0)),
+                     _combine(catalogue, coefficients), power)
 
 
 def _combine(catalogue: list[CatalogueEntry], coefficients: dict[str, Fraction]) -> Density:
@@ -375,8 +359,17 @@ def _combine(catalogue: list[CatalogueEntry], coefficients: dict[str, Fraction])
 
 
 def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
-              correction: Density, power: Density) -> EnergyDefinition:
-    """Deterministic residual decomposition shared by solve and import."""
+              cubic_coefficient: Fraction, correction: Density,
+              power: Density) -> EnergyDefinition:
+    """The energy of F and a cubic weight, solved or stated: the one check
+    of the energy identity, for solve and import alike.
+
+    Raises CorrectionReductionError if F leaves the correction class, and
+    InfeasibleSystemError unless the residual of `power + dt_linear(F)`
+    is the weight times the cubic term's, with their difference, the
+    remainder, as its residual.  A nonzero weight where 3 does not divide
+    k is refused before the cubic term is built.
+    """
     bad = [m for m in correction.monomials()
            if classify(m, k, p) is not MonomialClass.CORRECTION]
     if bad:
@@ -385,20 +378,16 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
     reducer = dispersive_reducer(k, p)
     total = power + dt_linear(correction)
     res = reducer.reduce(total)
-    cubic_coeff = Fraction(0)
     remainder = res.residual
-    if not remainder.is_zero:
+    if cubic_coefficient:
         if k % 3:
-            raise InfeasibleSystemError(
-                f"dispersive-sector remainder nonzero for (k={k}, p={p})", remainder)
-        cub = reducer.reduce(cubic_density(k, p)).residual
-        lead = max(cub.monomials(), key=Monomial.sort_key)
-        ratio = remainder.coefficient(lead) / cub.coefficient(lead)
-        if remainder != cub * ratio or not ratio.is_real:
-            raise InfeasibleSystemError(
-                f"remainder is not a multiple of the cubic term for (k={k}, p={p})",
-                remainder)
-        cubic_coeff = ratio.as_fraction()
+            raise InfeasibleSystemError(f"cubic weight {cubic_coefficient} for (k={k}, "
+                                        f"p={p}), where there is no cubic term", remainder)
+        remainder = remainder - reducer.reduce(cubic_density(k, p)).residual * cubic_coefficient
+    if not remainder.is_zero:
+        raise InfeasibleSystemError(
+            f"dispersive-sector remainder nonzero for (k={k}, p={p}): the derivative "
+            "is not the quartic remainder plus the weighted cubic term", remainder)
     residual_quartic = res.allowed_part.re_part()
     # F passed the guard above: signature (p+1, p+1, 2k-2), every order at
     # most k-1.  The power substitution spreads a factor's order over 2p+1
@@ -409,7 +398,7 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
     # the power part of the mass is zero
     return EnergyDefinition(
         k=k, p=p, coefficients=dict(coefficients), correction=correction,
-        residual_quartic=residual_quartic, cubic_coefficient=cubic_coeff,
+        residual_quartic=residual_quartic, cubic_coefficient=cubic_coefficient,
         derivative_rest=total + dt_linear(quadratic_density(k)))
 
 
@@ -625,17 +614,18 @@ def import_energy(source) -> EnergyDefinition:
     """Load and fully validate an energy document (a dict, or the path of
     a JSON file).
 
-    Only `schema_version`, `k`, `p` and the coefficients are input: the
-    energy is recomputed from them, and the document is accepted exactly
-    when `export_energy` of the recomputation equals it, so every other
-    field must be the text `export_energy` writes, the reference to the
-    power image included.  A document of another schema, such as a
-    schema-1 document with the image written out or a schema-2 document
-    with the coefficients of the top-index entries, is refused.  An `F_k`
-    that is not the text of the stated coefficients' combination is
-    rejected before the residuals are recomputed.  Anything unreadable,
-    malformed or inconsistent, an unusable k or p included, raises
-    EnergyDocumentError.
+    Only `schema_version`, `k`, `p`, the coefficients and `cubic_coeff`
+    are input: the energy is recomputed from them, and the document is
+    accepted exactly when `export_energy` of the recomputation equals it,
+    so every other field must be the text `export_energy` writes, the
+    reference to the power image included.  A document of another schema,
+    such as a schema-1 document with the image written out or a schema-2
+    document with the coefficients of the top-index entries, is refused.
+    An `F_k` that is not the text of the stated coefficients' combination
+    is rejected before the residuals are recomputed; coefficients and a
+    cubic weight that do not cancel fail the identity check of
+    `_assemble`.  Anything unreadable, malformed or inconsistent, an
+    unusable k or p included, raises EnergyDocumentError.
     """
     try:
         doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
@@ -643,6 +633,7 @@ def import_energy(source) -> EnergyDefinition:
         k, p = doc["k"], doc["p"]
         _check_kp(k, p)
         coefficients = {name: Fraction(v) for name, v in doc["coefficients"].items()}
+        cubic_coefficient = Fraction(doc["cubic_coeff"])
         correction_text = doc["F_k"]
     # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
     except (OSError, KeyError, ValueError, TypeError, AttributeError,
@@ -659,7 +650,7 @@ def import_energy(source) -> EnergyDefinition:
         raise EnergyDocumentError(
             "F_k is not the catalogue combination of the stated coefficients")
     try:
-        rebuilt = _assemble(k, p, coefficients, correction,
+        rebuilt = _assemble(k, p, coefficients, cubic_coefficient, correction,
                             dt_nonlinear(Density.monomial((k,), (k,)), p))
     except (InfeasibleSystemError, CorrectionReductionError) as exc:
         raise EnergyDocumentError(f"inconsistent energy document: {exc}") from exc

@@ -73,6 +73,8 @@ class RunConfig:
             _check_mode(self.mode, self.n_modes)
         if self.t_end <= 0 or self.dt <= 0 or self.record_dt <= 0:
             raise ValueError("t_end, dt and record_dt must be positive")
+        if not np.isfinite([self.t_end / self.dt, self.record_dt / self.dt]).all():
+            raise ValueError("the step counts t_end / dt and record_dt / dt must be finite")
         if self.fd_delta <= 0:
             raise ValueError(f"fd_delta must be positive, got {self.fd_delta!r}")
 

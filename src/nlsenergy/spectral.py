@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Density, Monomial, PowerImage
+from .algebra import Density, Monomial, PowerImage, _check_exponent
 
 
 def _pocketfft():
@@ -73,8 +73,9 @@ class BlowupError(RuntimeError):
 
 
 def _check_modes(n_modes: int):
-    if n_modes < 8 or n_modes & (n_modes - 1):
-        raise ValueError(f"n_modes must be a power of two >= 8, got {n_modes}")
+    # 2**20 modes, a 16 MiB state, is far above any documented run
+    if n_modes < 8 or n_modes > 1 << 20 or n_modes & (n_modes - 1):
+        raise ValueError(f"n_modes must be a power of two from 8 to 2**20, got {n_modes}")
 
 
 def wavenumbers(n_modes: int) -> np.ndarray:
@@ -96,8 +97,7 @@ class SolverConfig:
         _check_modes(self.n_modes)
         if not np.isfinite(self.dt) or self.dt == 0:
             raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
-        if not isinstance(self.p, int) or self.p < 2:
-            raise ValueError(f"p must be an int >= 2, got {self.p!r}")
+        _check_exponent(self.p)
 
 
 def _linear_phase(n: np.ndarray, dt: float) -> np.ndarray:
@@ -206,14 +206,20 @@ def random_state(n_modes: int, seed: int, decay: float = 3.0,
                  r_h1: float = 1.0) -> np.ndarray:
     """Random-phase data with |u_hat(n)| = (1+|n|)^(-decay) on |n| <= N/4,
     rescaled to the requested first-order Sobolev norm.  The draw order is
-    fixed (n ascending), so states are seed-reproducible."""
+    fixed (n ascending), so states are seed-reproducible.  A spectrum or
+    norm out of the floating-point range raises BlowupError."""
     _check_modes(n_modes)
     rng = np.random.default_rng(seed)
     u = np.zeros(n_modes, dtype=complex)
     quarter = n_modes // 4
-    for n in range(-quarter, quarter + 1):
-        u[n % n_modes] = (1 + abs(n)) ** (-decay) * np.exp(2j * np.pi * rng.random())
-    return u * (r_h1 / sobolev_norm(u, 1))
+    try:
+        for n in range(-quarter, quarter + 1):
+            u[n % n_modes] = (1 + abs(n)) ** (-decay) * np.exp(2j * np.pi * rng.random())
+        with np.errstate(over="raise"):
+            norm = sobolev_norm(u, 1)
+    except (OverflowError, FloatingPointError):
+        raise BlowupError(f"non-finite random spectrum or H^1 norm at decay={decay}") from None
+    return u * (r_h1 / norm)
 
 
 # -- norms and functionals --------------------------------------------------

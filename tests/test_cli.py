@@ -269,6 +269,41 @@ def test_a_non_finite_functional_value_aborts_with_exit_3(tmp_path, command, amp
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "crosscheck"])
+@pytest.mark.parametrize("decay", ["-1000", "-250"], ids=["spectrum", "norm"])
+def test_a_negative_decay_out_of_range_aborts_with_exit_3(tmp_path, command, decay):
+    # at -1000 the spectrum (1+|n|)^(-decay) overflows, at -250 its H^1 norm:
+    # either would otherwise end in a traceback or in a rescaled zero state
+    out = tmp_path / "never.csv"
+    extra = ["--out", str(out)] if command == "simulate" else []
+    result = invoke(command, "--k", "2", "--t-end", "0.002", "--decay", decay, *extra)
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aborted: non-finite"), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t-end", "1e300", "--dt", "1e-10"],
+    ["--n-modes", "4611686018427387904"],
+], ids=["step-count", "n-modes"])
+def test_a_run_too_large_to_represent_is_a_usage_error(tmp_path, monkeypatch, flags):
+    def no_solve(k, p):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(cli, "solve_energy", no_solve)
+    out = tmp_path / "never.csv"
+    result = invoke("simulate", "--k", "2", *flags, "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error")]
+    assert len(errors) == 1, result.stderr
+    assert not out.exists()
+
+
 def test_run_flag_defaults_are_the_run_config_defaults():
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     for command in (cli.simulate, cli.crosscheck):

@@ -651,8 +651,8 @@ def test_import_rejects_an_equivalent_rewrite_of_the_correction():
     # a total derivative inside the correction sector: the same energy
     # modulo integration by parts, but not the one the coefficients state
     assert SectorReducer((3, 3, 6)).reduce(shift).residual.is_zero
-    shifted = _assemble(4, 2, energy.coefficients, energy.correction + shift,
-                        _POWER_4_2)
+    shifted = _assemble(4, 2, energy.coefficients, energy.cubic_coefficient,
+                        energy.correction + shift, _POWER_4_2)
     with pytest.raises(EnergyDocumentError, match="F_k"):
         import_energy(export_energy(shifted))
 
@@ -687,8 +687,8 @@ def _spied_solver(monkeypatch, edit=None):
 
     def wrapped(rows, n):
         calls.append((rows, n))
-        result = original(rows, n)
-        return result if edit is None else edit(rows, n, *result)
+        values = original(rows, n)
+        return values if edit is None else edit(rows, n, values)
 
     monkeypatch.setattr(energy_module, "_solve", wrapped)
     return calls
@@ -743,13 +743,57 @@ def test_a_column_without_a_pivot_raises(monkeypatch, k, p, replaced, name, resi
 
 
 def test_cubic_coefficient_mismatch_raises(monkeypatch):
-    def bump_cubic_weight(rows, n, values, leftover):
-        return {**values, n - 1: values[n - 1] + 1}, leftover
+    def bump_cubic_weight(rows, n, values):
+        return {**values, n - 1: values[n - 1] + 1}
 
     _spied_solver(monkeypatch, bump_cubic_weight)
-    with pytest.raises(InfeasibleSystemError, match="differs from the solved weight") as info:
+    with pytest.raises(InfeasibleSystemError, match=r"^dispersive-sector remainder "
+                                                    r"nonzero for \(k=3, p=2\)") as info:
         solve_energy(3, 2)
+    # the one extra weight of the cubic term is the remainder, and the
+    # cubic term is already reduced
     assert info.value.residual == cubic_density(3, 2) * -1
+
+
+def test_a_solution_that_does_not_cancel_raises_with_its_remainder(monkeypatch):
+    def bump_first_coefficient(rows, n, values):
+        return {**values, 0: values[0] + 1}
+
+    _spied_solver(monkeypatch, bump_first_coefficient)
+    with pytest.raises(InfeasibleSystemError, match="remainder nonzero") as info:
+        solve_energy(4, 2)
+    # the column of aligned_u[1], which the extra 1 adds to the remainder
+    column = dispersive_reducer(4, 2).reduce(
+        dt_linear(correction_density(Family.ALIGNED_U, 4, 1, 2))).residual
+    assert not column.is_zero
+    assert info.value.residual == column
+
+
+def test_import_checks_the_identity_of_a_consistently_edited_document():
+    # a coefficient moved and F_k rewritten to match pass every check before
+    # the identity, which the stated coefficients and weight no longer satisfy
+    doc = export_energy(solve_energy(3, 2))
+    name = "aligned_u[1]"
+    doc["coefficients"][name] = str(Fraction(doc["coefficients"][name]) + 1)
+    coefficients = {n: Fraction(v) for n, v in doc["coefficients"].items()}
+    doc["F_k"] = density_to_text(sum(
+        (e.density * coefficients[e.name] for e in build_catalogue(3, 2)), Density.zero()))
+    with pytest.raises(EnergyDocumentError, match="^inconsistent energy document: "
+                                                  "dispersive-sector remainder nonzero"):
+        import_energy(doc)
+
+
+def test_import_refuses_a_cubic_weight_where_there_is_no_cubic_term(monkeypatch):
+    doc = export_energy(solve_energy(4, 2))
+    assert doc["cubic_coeff"] == "0"
+    doc["cubic_coeff"] = "1"
+    called = []
+    monkeypatch.setattr(energy_module, "cubic_density",
+                        lambda *args: called.append(args))
+    with pytest.raises(EnergyDocumentError, match="^inconsistent energy document: "
+                                                  "cubic weight 1 for"):
+        import_energy(doc)
+    assert called == []
 
 
 def test_unpatched_solver_passes_its_invariant_checks():

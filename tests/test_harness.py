@@ -43,6 +43,9 @@ def test_run_config_validation():
     {"preset": "planewave", "mode": 8}, {"preset": "planewave", "mode": -9},
     {"preset": "planewave", "mode": 1.5},
     {"mode": "abc"}, {"preset": "planewave", "mode": True}, {"mode": True},
+    # step counts and sizes no run can represent
+    {"t_end": 1e300, "dt": 1e-10}, {"record_dt": 1e300, "dt": 1e-10},
+    {"n_modes": 2 ** 21}, {"n_modes": 2 ** 62},
 ])
 def test_run_config_rejects_what_no_run_can_use(overrides):
     with pytest.raises(ValueError):
@@ -53,6 +56,7 @@ def test_run_config_accepts_the_edge_modes():
     for mode in (-8, 7):
         _small_config(preset="planewave", mode=mode)
     _small_config(mode=40)      # a random state ignores the mode
+    _small_config(n_modes=2 ** 20)
 
 
 def test_record_schedule():

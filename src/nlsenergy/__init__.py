@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .algebra import (Density, Monomial, PowerImage, density_from_text,
-                      density_to_text, dt_evolution, dt_linear, dt_nonlinear)
+                      density_to_text, dt_linear, dt_nonlinear)
 from .energy import (CatalogueEntry, CorrectionReductionError, EnergyDefinition,
                      EnergyDocumentError, Family, InfeasibleSystemError,
                      basic_density, build_catalogue, correction_density,

@@ -19,11 +19,10 @@ along the two halves of the defocusing evolution
 
 :func:`dt_linear` substitutes only the dispersive half (dt u -> i d^2[u]),
 :func:`dt_nonlinear` only the power half, expanded with the Leibniz rule.
-Their sum, :func:`dt_evolution`, is the full formal time derivative of
-the density.
+Their sum is the full formal time derivative of the density.
 
-All three run one substitution frame, each with its own image of a
-factor, and build no monomial per term of the expansion.  Within one call
+Both run one substitution frame, each with its own image of a factor,
+and build no monomial per term of the expansion.  Within one call
 every order block they produce is sorted once and interned as a small
 int, the integer numerators of the real and imaginary parts accumulate on
 pairs of block ids over the common denominator of the input's
@@ -493,13 +492,6 @@ def dt_nonlinear(e: Density, p: int) -> Density:
     p conjugated factors.
     """
     return _substituted(e, _power_image(p))
-
-
-def dt_evolution(e: Density, p: int) -> Density:
-    """Full formal time derivative along the defocusing evolution: both
-    images of each factor, substituted in one pass."""
-    power = _power_image(p)
-    return _substituted(e, lambda a: _linear_image(a) + power(a))
 
 
 @dataclass(frozen=True)

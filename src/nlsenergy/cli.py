@@ -85,7 +85,9 @@ def _build_config(ctx, config_path, **flags) -> RunConfig:
     if config_path:
         try:
             data = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        # json.JSONDecodeError, UnicodeDecodeError and an int literal past
+        # Python's digit limit are ValueErrors
+        except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot read config document: {exc}")
         if not isinstance(data, dict):
             raise click.UsageError("config document must be a JSON object")

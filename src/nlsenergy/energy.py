@@ -33,7 +33,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 from .algebra import (Density, Monomial, PowerImage, _check_exponent,
-                      density_to_text, dt_evolution, dt_linear, dt_nonlinear)
+                      density_to_text, dt_linear, dt_nonlinear)
 from .rational import GaussianRational
 from .reduction import MonomialClass, SectorReducer, classify, reduce_by_sector
 
@@ -358,6 +358,14 @@ def _combine(catalogue: list[CatalogueEntry], coefficients: dict[str, Fraction])
     return correction
 
 
+def _outside_correction_class(density: Density, k: int, p: int) -> Density:
+    """The terms of `density` outside the correction class of (k, p): the
+    one class test of a correction, for `_assemble`'s guard and for the
+    `starstar` checks of `verify_identities`."""
+    return Density({m: density.coefficient(m) for m in density.monomials()
+                    if classify(m, k, p) is not MonomialClass.CORRECTION})
+
+
 def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
               cubic_coefficient: Fraction, correction: Density,
               power: Density) -> EnergyDefinition:
@@ -370,9 +378,9 @@ def _assemble(k: int, p: int, coefficients: dict[str, Fraction],
     remainder, as its residual.  A nonzero weight where 3 does not divide
     k is refused before the cubic term is built.
     """
-    bad = [m for m in correction.monomials()
-           if classify(m, k, p) is not MonomialClass.CORRECTION]
-    if bad:
+    outside = _outside_correction_class(correction, k, p)
+    if not outside.is_zero:
+        bad = list(outside.monomials())
         raise CorrectionReductionError(
             f"correction term leaves the correction class: {bad[:3]}")
     reducer = dispersive_reducer(k, p)
@@ -413,7 +421,8 @@ def verify_exact_conservation(p: int) -> dict[str, Density]:
     """
     out = {}
     for name, dens in (("mass", mass_density()), ("hamiltonian", hamiltonian_density(p))):
-        for sig, residual in reduce_by_sector(dt_evolution(dens, p)).items():
+        derivative = dt_linear(dens) + dt_nonlinear(dens, p)
+        for sig, residual in reduce_by_sector(derivative).items():
             out[f"{name} sector {sig}"] = residual
     return out
 
@@ -569,8 +578,7 @@ def verify_identities(k: int, p: int) -> IdentityReport:
         # order over 2p+1 factors, so the image of a correction has signature
         # (2p+1, 2p+1, 2k-2) and every order at most k-1; the residual holds
         # the entry's terms outside the correction class
-        outside = Density.from_terms((mm, c) for mm, c in entry.density.terms()
-                                     if classify(mm, k, p) is not MonomialClass.CORRECTION)
+        outside = _outside_correction_class(entry.density, k, p)
         checks.append(IdentityCheck(f"starstar[{entry.name}] in class", "class",
                                     outside.is_zero, outside))
     return IdentityReport(k, p, checks)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,11 @@ CSV_COLUMNS = ("t", "l2", "h1", "hk", "hamiltonian", "E_k", "F_k",
 
 FD_TOLERANCE = 1e-4
 DECOMPOSITION_TOLERANCE = 1e-9
+
+# the most steps a run, or one of its record blocks, may take: far above
+# the longest run of the documents, tests and benchmark (20,000 steps),
+# far below a run that would never end
+MAX_STEPS = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,14 @@ class RunConfig:
         _check_modes(self.n_modes)
         for name in ("dt", "t_end", "record_dt", "fd_delta", "r_h1", "decay", "amplitude"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not np.isfinite(value):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ValueError(f"{name} must be a finite number, got an int too "
+                                 "large for a float") from None
+            if not finite:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.preset not in ("random", "planewave"):
             raise ValueError(f"preset must be 'random' or 'planewave', got {self.preset!r}")
@@ -73,8 +86,10 @@ class RunConfig:
             _check_mode(self.mode, self.n_modes)
         if self.t_end <= 0 or self.dt <= 0 or self.record_dt <= 0:
             raise ValueError("t_end, dt and record_dt must be positive")
-        if not np.isfinite([self.t_end / self.dt, self.record_dt / self.dt]).all():
-            raise ValueError("the step counts t_end / dt and record_dt / dt must be finite")
+        # a quotient too large for a float is inf, which the bound refuses too
+        if max(self.t_end / self.dt, self.record_dt / self.dt) > MAX_STEPS:
+            raise ValueError("the step counts t_end / dt and record_dt / dt must be "
+                             f"at most {MAX_STEPS}")
         if self.fd_delta <= 0:
             raise ValueError(f"fd_delta must be positive, got {self.fd_delta!r}")
 

@@ -127,10 +127,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self._re or self._im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self._im
-
     def __eq__(self, other):
         if other.__class__ is not GaussianRational:
             if not isinstance(other, (GaussianRational, Rational)):
@@ -145,12 +141,6 @@ class GaussianRational:
         return hash((self._re, self._im, self._den))
 
     # -- conversions --------------------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        """Real part as a Fraction; raises if the value is not real."""
-        if self._im:
-            raise ValueError(f"{self} is not real")
-        return Fraction(self._re, self._den)
 
     def __complex__(self):
         # int / int rounds correctly, as float(Fraction) does

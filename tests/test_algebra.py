@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlsenergy.algebra import (Density, Monomial, _monomial, _power_derivative,
-                               density_from_text, density_to_text,
-                               dt_evolution, dt_linear, dt_nonlinear)
+                               density_from_text, density_to_text, dt_linear,
+                               dt_nonlinear)
 from nlsenergy.energy import solve_energy
 from nlsenergy.rational import GaussianRational, I
 
@@ -153,7 +153,7 @@ def test_power_substitution_validates_exponent():
     with pytest.raises(ValueError):
         dt_nonlinear(Density.monomial((1,), (1,)), 2.0)
     with pytest.raises(ValueError):
-        dt_evolution(Density.monomial((1,), (1,)), 1)
+        dt_nonlinear(Density.monomial((1,), (1,)), "2")
 
 
 # -- sympy oracle -----------------------------------------------------------
@@ -220,11 +220,6 @@ def test_power_substitution_matches_sympy(density, p):
                                   -sympy.I * U(x) ** (p + 1) * V(x) ** p,
                                   sympy.I * V(x) ** (p + 1) * U(x) ** p)
     assert sympy.expand(got - want) == 0
-
-
-def test_full_derivative_is_sum_of_parts():
-    d = Density.monomial((4,), (4,)) + Density.monomial((0,), (0,))
-    assert dt_evolution(d, 2) == dt_linear(d) + dt_nonlinear(d, 2)
 
 
 # -- per-term reference formulas --------------------------------------------
@@ -317,9 +312,6 @@ _densities = st.lists(
 def test_substitutions_match_the_per_term_formulas(density, p):
     assert dt_nonlinear(density, p) == _naive_dt_nonlinear(density, p)
     assert dt_linear(density) == _naive_dt_linear(density)
-    # both images in one pass
-    assert dt_evolution(density, p) == \
-        _naive_dt_linear(density) + _naive_dt_nonlinear(density, p)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -285,22 +285,47 @@ def test_a_negative_decay_out_of_range_aborts_with_exit_3(tmp_path, command, dec
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [
-    ["--t-end", "1e300", "--dt", "1e-10"],
-    ["--n-modes", "4611686018427387904"],
-], ids=["step-count", "n-modes"])
-def test_a_run_too_large_to_represent_is_a_usage_error(tmp_path, monkeypatch, flags):
+@pytest.mark.parametrize("flags,document,field", [
+    (["--t-end", "1e300", "--dt", "1e-10"], None, "t_end / dt"),
+    (["--n-modes", "4611686018427387904"], None, "n_modes"),
+    # representable, but 1e305 steps
+    (["--t-end", "1e300", "--dt", "1e-5"], None, "t_end / dt"),
+    # a JSON int of 401 digits, which no float holds
+    ([], '{"t_end": 1' + "0" * 400 + "}", "t_end must be a finite number"),
+], ids=["step-count", "n-modes", "step-bound", "int-past-float"])
+def test_a_run_too_large_to_represent_is_a_usage_error(tmp_path, monkeypatch, flags,
+                                                       document, field):
     def no_solve(k, p):
         raise AssertionError("solved before the config was checked")
 
     monkeypatch.setattr(cli, "solve_energy", no_solve)
+    if document is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(document)
+        flags = ["--config", str(cfg)]
     out = tmp_path / "never.csv"
     result = invoke("simulate", "--k", "2", *flags, "--out", str(out))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     errors = [line for line in result.stderr.splitlines() if line.startswith("Error")]
-    assert len(errors) == 1, result.stderr
+    assert len(errors) == 1 and field in errors[0], result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document", [
+    b'{"t_end": 1' + b"0" * 5000 + b"}",     # past Python's int digit limit
+    b'{"preset": "\xe9"}',                   # not UTF-8
+], ids=["int-digit-limit", "not-utf8"])
+def test_an_unreadable_config_document_is_a_usage_error(tmp_path, document):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(document)
+    out = tmp_path / "never.csv"
+    result = invoke("simulate", "--k", "2", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error")]
+    assert len(errors) == 1 and errors[0].startswith("Error: cannot read config document")
     assert not out.exists()
 
 

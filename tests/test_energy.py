@@ -22,7 +22,7 @@ from nlsenergy import energy as energy_module
 from nlsenergy.algebra import (Density, Monomial, density_from_text,
                                density_to_text, dt_linear, dt_nonlinear)
 from nlsenergy.energy import (FAMILY_ORDER, POWER_IMAGE_REFERENCE,
-                              EnergyDocumentError, Family,
+                              CorrectionReductionError, EnergyDocumentError, Family,
                               InfeasibleSystemError, _assemble,
                               basic_density, build_catalogue,
                               correction_density, cubic_density,
@@ -304,6 +304,32 @@ def test_an_entry_outside_the_correction_class_fails_its_check_unexpanded(monkey
     for name, outside in (("high", high), ("off", off), ("half", high)):
         check = checks[f"starstar[{name}] in class"]
         assert (check.mode, check.passed, check.residual) == ("class", False, outside)
+
+
+def test_a_solved_correction_outside_the_class_is_refused_with_its_terms(monkeypatch):
+    k, p = 2, 2
+    # d[d^1 u u u conj(u)^3], a total derivative in the correction sector
+    # (3, 3, 2) whose d^2 terms lie outside the class: added to mixed_u[1]
+    # it leaves that entry's dispersive column as it is, so the system
+    # solves, gives the entry its weight 6, and only the class guard of
+    # `_assemble` can refuse the correction
+    c = (0, 0, 0)
+    derivative = (Density.monomial((2, 0, 0), c) + Density.monomial((1, 1, 0), c) * 2
+                  + Density.monomial((1, 0, 0), (1, 0, 0)) * 3)
+    aligned, mixed = build_catalogue(k, p)
+    entry = energy_module.CatalogueEntry("outside", mixed.density + derivative.re_part())
+    monkeypatch.setattr(energy_module, "build_catalogue", lambda k_, p_: [aligned, entry])
+    with pytest.raises(CorrectionReductionError,
+                       match="^correction term leaves the correction class") as info:
+        solve_energy(k, p)
+    check = {c.identity: c for c in verify_identities(k, p).checks}[
+        "starstar[outside] in class"]
+    assert not check.passed
+    # the d^2 terms, and only they, in the guard's message and the residual
+    assert {m.max_order for m in check.residual.monomials()} == {2}
+    message = str(info.value)
+    assert message.count("Monomial(") == len(check.residual) == 2
+    assert all(repr(m) in message for m in check.residual.monomials())
 
 
 def test_tampered_correction_fails_its_dispersive_identity():

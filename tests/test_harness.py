@@ -46,10 +46,33 @@ def test_run_config_validation():
     # step counts and sizes no run can represent
     {"t_end": 1e300, "dt": 1e-10}, {"record_dt": 1e300, "dt": 1e-10},
     {"n_modes": 2 ** 21}, {"n_modes": 2 ** 62},
+    # a number no float holds, a type that is not a number, and step counts
+    # that can be represented but exceed MAX_STEPS
+    {"t_end": 10 ** 400}, {"amplitude": -10 ** 400}, {"dt": "1e-3"}, {"r_h1": 1j},
+    {"t_end": 1e300, "dt": 1e-5}, {"record_dt": 2e6, "t_end": 2e6},
+    {"t_end": harness.MAX_STEPS + 1, "dt": 1, "record_dt": 1},
 ])
 def test_run_config_rejects_what_no_run_can_use(overrides):
     with pytest.raises(ValueError):
         _small_config(**overrides)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"t_end": 10 ** 400}, "t_end must be a finite number, got an int too large for a float"),
+    ({"decay": "3"}, "decay must be a finite number, got '3'"),
+    ({"t_end": 1e300, "dt": 1e-5}, "the step counts t_end / dt and record_dt / dt must be "
+                                   f"at most {harness.MAX_STEPS}"),
+])
+def test_run_config_names_the_field_it_refuses(overrides, message):
+    with pytest.raises(ValueError) as info:
+        _small_config(**overrides)
+    assert str(info.value) == message
+
+
+def test_run_config_accepts_the_largest_step_counts():
+    # ints are numbers too
+    _small_config(t_end=harness.MAX_STEPS, dt=1, record_dt=harness.MAX_STEPS)
+    _small_config(t_end=harness.MAX_STEPS / 2, dt=0.5, record_dt=1)
 
 
 def test_run_config_accepts_the_edge_modes():

@@ -163,13 +163,6 @@ class Density:
             return cls()
         return cls({Monomial(tuple(u_orders), tuple(c_orders)): c})
 
-    @classmethod
-    def from_terms(cls, pairs) -> "Density":
-        acc: dict[Monomial, GaussianRational] = {}
-        for m, c in pairs:
-            _add_term(acc, m, GaussianRational.coerce(c))
-        return cls(acc)
-
     def terms(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms sorted by descending canonical monomial order."""
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key(), reverse=True)

@@ -12,8 +12,9 @@ correction F made of correction-class densities such that
 modulo integration by parts.  The correction coefficients solve a small
 linear system, with the cubic weight as its last unknown, obtained by
 reducing the dispersive-substitution images of a fixed catalogue of
-candidate densities.  The catalogue is chosen so that the system has full
-rank: its solution, when there is one, is unique.  `_assemble` checks the
+candidate densities, and eliminated by the same sparse elimination as the
+reductions.  The catalogue is chosen so that the system has full rank:
+its solution, when there is one, is unique.  `_assemble` checks the
 identity, once, for a solved energy and for a stated one alike.
 
 residual_nonlinear is the power image dt_nonlinear(F), which the solve,
@@ -29,13 +30,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from pathlib import Path
 
 from .algebra import (Density, Monomial, PowerImage, _check_exponent,
                       density_to_text, dt_linear, dt_nonlinear)
-from .rational import GaussianRational
-from .reduction import MonomialClass, SectorReducer, classify, reduce_by_sector
+from .rational import ONE, ZERO, GaussianRational, _reduced
+from .reduction import (MonomialClass, SectorReducer, _eliminate, classify,
+                        reduce_by_sector)
 
 SCHEMA_VERSION = 3
 
@@ -262,59 +263,44 @@ class EnergyDefinition:
         return self.residual_nonlinear + self.dispersive_residual()
 
 
-def _split_real_rows(columns: list[Density], rhs: Density) -> list[list[int]]:
-    """Stack re/im coordinate rows of a complex system with real unknowns.
+def _solve(columns: list[Density], rhs: Density) -> dict[int, Fraction]:
+    """The value of each column outside the span of the columns before it.
 
-    Each row holds the coefficients of the unknowns, then the right-hand
-    side, all scaled by one common denominator to ints.
+    Every column and the right-hand side is i times a real density, so
+    the system is solved on their imaginary parts, by the reducer's
+    elimination.  Each column is eliminated against the pivots of the
+    columns before it and carries its combination of columns, as a
+    reducer row carries its allowed coordinates; a column that reduces to
+    zero lies in their span and gets no pivot.  The right-hand side,
+    eliminated the same way, carries minus the value of each pivot
+    column: the solution when every column is a pivot and the system is
+    consistent, which `_assemble` checks.  A real part, which no supported
+    (k, p) has, is dropped here and would leave a remainder there.
     """
-    monomials: set[Monomial] = set(rhs.monomials())
-    for col in columns:
-        monomials |= set(col.monomials())
-    rows = []
-    for m in sorted(monomials, key=Monomial.sort_key, reverse=True):
-        cells = [col.coefficient(m) for col in columns]
-        cells.append(rhs.coefficient(m))
-        den = lcm(*(c._den for c in cells))
-        rows.append([c._re * (den // c._den) for c in cells])
-        rows.append([c._im * (den // c._den) for c in cells])
-    return rows
+    pivots: dict[Monomial, tuple[dict, dict] | None] = {}
+    placed = []
+    for col, column in enumerate(columns):
+        row, carry = _imaginary_part(column), {col: ONE}
+        for lead in _eliminate(pivots, _no_row, row, carry):
+            den = row[lead]
+            pivots[lead] = ({m: c / den for m, c in row.items()},
+                            {j: c / den for j, c in carry.items()})
+            placed.append(col)
+            break
+    row, carry = _imaginary_part(rhs), {}
+    for lead in _eliminate(pivots, _no_row, row, carry):
+        row.pop(lead)
+    return {col: -carry.get(col, ZERO).re for col in placed}
 
 
-def _solve(rows: list[list[int]], n: int) -> dict[int, Fraction]:
-    """Gauss-Jordan elimination in column order.
+def _imaginary_part(density: Density) -> dict[Monomial, GaussianRational]:
+    """The nonzero imaginary parts of the coefficients of `density`."""
+    return {m: _reduced(c._im, 0, c._den) for m, c in density._terms.items() if c._im}
 
-    Rows stay integral: a pivot row P clears its column from a row R as
-    a*R - b*P with a/b = P[col]/R[col] in lowest terms, and each new row
-    is divided by the gcd of its entries.  A column is a pivot exactly
-    when it lies outside the span of the columns before it.  Returns the
-    value of each pivot column: the solution when every column is a
-    pivot and the system is consistent, which `_assemble` checks.
-    """
-    rows = list(rows)  # rows are replaced, never changed in place
-    assigned: dict[int, int] = {}  # column -> pivot row index
-    used_rows: set[int] = set()
-    for col in range(n):
-        pivot_row = next((ridx for ridx, r in enumerate(rows)
-                          if ridx not in used_rows and r[col]), None)
-        if pivot_row is None:
-            continue
-        prow = rows[pivot_row]
-        pv = prow[col]
-        for ridx, r in enumerate(rows):
-            f = r[col]
-            if ridx == pivot_row or not f:
-                continue
-            g = gcd(pv, f)
-            a, b = pv // g, f // g
-            new = [a * x - b * y for x, y in zip(r, prow)]
-            h = gcd(*new)
-            if h > 1:
-                new = [x // h for x in new]
-            rows[ridx] = new
-        assigned[col] = pivot_row
-        used_rows.add(pivot_row)
-    return {col: Fraction(rows[ridx][n], rows[ridx][col]) for col, ridx in assigned.items()}
+
+def _no_row(lead: Monomial) -> None:
+    """The solver's pivots are placed as its columns come in, never built."""
+    return None
 
 
 def solve_energy(k: int, p: int) -> EnergyDefinition:
@@ -337,7 +323,7 @@ def solve_energy(k: int, p: int) -> EnergyDefinition:
     if k % 3 == 0:
         candidates.append(("the cubic term", cubic_density(k, p), -1 * cubic_density(k, p)))
     columns = [reducer.reduce(image).residual for _, _, image in candidates]
-    values = _solve(_split_real_rows(columns, rhs), len(columns))
+    values = _solve(columns, rhs)
     for col, (name, density, _) in enumerate(candidates):
         if col not in values:
             raise InfeasibleSystemError(

@@ -15,6 +15,9 @@ put in echelon form over the other coordinates with a fixed monomial
 order, and membership is read off the unique remainder.  Each echelon row
 carries its allowed coordinates along, so the same elimination that
 yields the remainder also yields the allowed part of the expression.
+That elimination, `_eliminate`, is the package's only one: the energy
+solver runs it on the cancellation system, whose rows carry their
+combination of columns instead.
 
 The echelon is known in closed form, by a lemma.  In canonical order the
 leading term of d[base] bumps the largest unconjugated order of the base.
@@ -25,7 +28,9 @@ the top of the bumped block of the leading term by one gives the base
 back, so distinct bases lead at distinct monomials: the generators are
 already an echelon, and each row is its generator divided by its
 coefficient at the pivot.  A base with more than `cap` derivative-bearing
-factors differentiates into allowed terms only and adds no row.  So no
+factors differentiates into allowed terms only and adds no row, and no
+pivot comes from one: a pivot is not allowed, and lowering an order by
+one never raises the count of derivative-bearing factors.  So no
 elimination is run to build the echelon: a reduction builds a row when
 it first meets its pivot, from the at most two bases the pivot can come
 from, and keeps it.  The reductions of a (12, 4) solve, its assembly and
@@ -173,9 +178,10 @@ class SectorReducer:
         """The row pivoting at `lead`, or None if no base leads there.
 
         Only a base that is `lead` with the top of one block lowered by
-        one can lead there, and only if it has at most the cap of
-        derivative-bearing factors."""
-        cap = self.max_derivative_factors
+        one can lead there.  No such base exceeds the cap: `lead`, a
+        pivot, is not allowed, so it has at most the cap of
+        derivative-bearing factors, and lowering an order by one never
+        raises that count."""
         u, c = lead.u_orders, lead.c_orders
         bases = []
         if u and u[0]:
@@ -183,8 +189,6 @@ class SectorReducer:
         if c and c[0]:
             bases.append(_monomial(u, (c[0] - 1,) + c[1:]))
         for base in bases:
-            if cap is not None and base.derivative_factor_count > cap:
-                continue
             row, alw = self._split(_generator(base))
             if row and max(row, key=Monomial.sort_key) == lead:
                 den = row[lead]
@@ -192,33 +196,43 @@ class SectorReducer:
                         {m: _reduced(n, 0, den) for m, n in alw.items()})
         return None
 
-    def _eliminate(self, row: dict, alw: dict):
-        """Subtract echelon rows from `row`, and their allowed coordinates
-        from `alw`, largest pivot first; yield each leading monomial of
-        `row` that is no pivot.  The caller pops it from `row` to go on."""
-        rows = self._rows
-        while row:
-            pivot = max(row, key=Monomial.sort_key)
-            if pivot in rows:
-                hit = rows[pivot]
-            else:
-                hit = rows[pivot] = self._row(pivot)
-            if hit is None:
-                yield pivot
-                continue
-            erow, ealw = hit
-            factor = row[pivot]
-            _subtract(row, factor, erow)
-            _subtract(alw, factor, ealw)
-
     def reduce(self, expr: Density) -> ReductionResult:
         bad = expr.signatures() - {self.signature}
         if bad:
             raise SignatureMismatchError(
                 f"expression signatures {sorted(bad)} outside sector {self.signature}")
         row, alw = self._split(expr._terms)
-        residual = {pivot: row.pop(pivot) for pivot in self._eliminate(row, alw)}
+        residual = {pivot: row.pop(pivot)
+                    for pivot in _eliminate(self._rows, self._row, row, alw)}
         return ReductionResult(Density(residual), Density(alw))
+
+
+def _eliminate(rows: dict, build, row: dict, carry: dict):
+    """Subtract echelon rows from `row`, and what each row carries from
+    `carry`, largest pivot first; yield each leading monomial of `row`
+    that is no pivot.  The caller pops it from `row` to go on.
+
+    `rows` maps a pivot to its normalized row and the row's carry, or to
+    None where no row leads; a pivot not yet in `rows` gets `build(pivot)`
+    there.  A reducer's rows carry their allowed coordinates, and the
+    solver's carry their combination of columns.  A row that does not
+    clear its pivot, one not normalized, raises instead of looping.
+    """
+    while row:
+        pivot = max(row, key=Monomial.sort_key)
+        if pivot in rows:
+            hit = rows[pivot]
+        else:
+            hit = rows[pivot] = build(pivot)
+        if hit is None:
+            yield pivot
+            continue
+        erow, ecarry = hit
+        factor = row[pivot]
+        _subtract(row, factor, erow)
+        if pivot in row:
+            raise ArithmeticError(f"the echelon row at {pivot} is not normalized")
+        _subtract(carry, factor, ecarry)
 
 
 def _generator(base: Monomial) -> dict[Monomial, int]:

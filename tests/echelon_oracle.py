@@ -227,7 +227,7 @@ def checked_reductions(found, reduced):
         out = reduce_by_sector(expr)
         reduced.append(expr)
         for sig, residual in out.items():
-            part = Density.from_terms((m, c) for m, c in expr.terms() if m.signature == sig)
+            part = Density({m: c for m, c in expr.terms() if m.signature == sig})
             if residual != full_span_oracle(sig).reduce(part).residual:
                 found.append(f"sector {sig}: the closed form's residual differs")
         return out

@@ -19,7 +19,7 @@ from nlsenergy.algebra import (Density, Monomial, _monomial, _power_derivative,
                                density_from_text, density_to_text, dt_linear,
                                dt_nonlinear)
 from nlsenergy.energy import solve_energy
-from nlsenergy.rational import GaussianRational, I
+from nlsenergy.rational import ZERO, GaussianRational, I
 
 
 def test_monomial_orders_are_canonically_sorted():
@@ -81,6 +81,14 @@ def test_text_rejects_garbage():
         density_from_text("3 * d^2[w]")
 
 
+def _collect(pairs) -> Density:
+    """The sum of c * m over the (m, c) of `pairs`, like terms collected."""
+    terms = {}
+    for m, c in pairs:
+        terms[m] = terms.get(m, ZERO) + c
+    return Density({m: c for m, c in terms.items() if c})
+
+
 def _factor_text(m: Monomial) -> str:
     """Reference text of a monomial: one formatted string per factor, and
     '1' for the monomial without factors."""
@@ -107,7 +115,7 @@ _EDGE_MONOMIALS = [Monomial((), ()), Monomial((0,), ()), Monomial((), (0, 0)),
 def test_text_matches_the_per_factor_formula(terms):
     for m, _ in terms:
         assert str(m) == _factor_text(m)
-    d = Density.from_terms(terms)
+    d = _collect(terms)
     want = " + ".join(f"{c.to_text()} * {_factor_text(m)}" for m, c in d.terms())
     assert density_to_text(d) == (want or "0")
     assert density_from_text(density_to_text(d)) == d
@@ -119,8 +127,8 @@ def test_text_of_single_block_and_zero_order_monomials():
     assert str(Monomial((12, 3), ())) == "d^12[u] d^3[u]"
     assert str(Monomial((), (10, 1, 0))) == "d^10[conj(u)] d^1[conj(u)] d^0[conj(u)]"
     assert str(Monomial((), ())) == "1"
-    assert density_to_text(Density.from_terms([(Monomial((), ()), 1)])) == "1 * 1"
-    d = Density.from_terms((m, i + 1) for i, m in enumerate(_EDGE_MONOMIALS))
+    assert density_to_text(Density.monomial((), ())) == "1 * 1"
+    d = _collect((m, i + 1) for i, m in enumerate(_EDGE_MONOMIALS))
     assert density_from_text(density_to_text(d)) == d
     for text in ("1 * ", "1 *  ", "2 *   + 1 * d^0[u]", "1 * 1 1", "1 * 1 d^0[u]"):
         with pytest.raises(ValueError):
@@ -237,7 +245,7 @@ def _naive_dt_linear(e: Density) -> Density:
             orders = list(m.c_orders)
             orders[idx] += 2
             pairs.append((Monomial(m.u_orders, tuple(orders)), c * (-I)))
-    return Density.from_terms(pairs)
+    return _collect(pairs)
 
 
 def _naive_dt_nonlinear(e: Density, p: int) -> Density:
@@ -254,7 +262,7 @@ def _naive_dt_nonlinear(e: Density, p: int) -> Density:
             rest = m.c_orders[:idx] + m.c_orders[idx + 1:]
             for uo, co, w in _naive_power_derivative(p, a):
                 pairs.append((Monomial(m.u_orders + co, rest + uo), c * I * w))
-    return Density.from_terms(pairs)
+    return _collect(pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,7 +312,7 @@ _coefficients = st.one_of(
 _densities = st.lists(
     st.tuples(st.builds(lambda u, c: Monomial(tuple(u), tuple(c)), _orders, _orders),
               _coefficients),
-    min_size=1, max_size=6).map(Density.from_terms)
+    min_size=1, max_size=6).map(_collect)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -319,8 +327,7 @@ def test_substitutions_match_the_per_term_formulas(density, p):
 def test_real_and_imaginary_parts_match_their_formulas(density, mirror):
     # monomials whose conjugate is absent, present with another weight, and
     # their own conjugate
-    own = Density.from_terms((Monomial(m.u_orders, m.u_orders), c)
-                             for m, c in density.terms())
+    own = _collect((Monomial(m.u_orders, m.u_orders), c) for m, c in density.terms())
     for d in (density, density + density.conjugate() * mirror, density + own):
         conj = d.conjugate()
         assert d.re_part() == (d + conj) * Fraction(1, 2)

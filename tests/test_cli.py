@@ -50,6 +50,30 @@ def test_verify_range_syntax():
     assert invoke("verify", "--k", "1", "--p", "2").exit_code == 1
 
 
+def test_verify_over_a_range_checks_each_index():
+    result = invoke("verify", "--k", "2..3", "--p", "2")
+    assert result.exit_code == 0, result.output
+    solves = [line for line in result.output.splitlines() if " solve: " in line]
+    assert [line.split()[1] for line in solves] == ["k=2", "k=3"]
+    assert result.output.splitlines()[-1] == "all checks passed"
+
+
+def test_verify_with_a_failing_check_exits_3(monkeypatch):
+    original = cli.verify_identities
+
+    def one_failure(k, p):
+        report = original(k, p)
+        report.checks[0] = dataclasses.replace(report.checks[0], passed=False)
+        return report
+
+    monkeypatch.setattr(cli, "verify_identities", one_failure)
+    result = invoke("verify", "--k", "2", "--p", "2")
+    assert result.exit_code == 3
+    assert len([line for line in result.output.splitlines() if line.startswith("[FAIL]")]) == 1
+    assert result.stderr.splitlines() == ["1 check(s) failed"]
+    assert "all checks passed" not in result.output
+
+
 def test_an_energy_document_named_like_json_text_is_read_as_a_path(
         tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -143,6 +167,17 @@ def test_config_document_with_flag_override(tmp_path):
     assert meta["config"]["t_end"] == 0.01
 
 
+def test_a_config_document_that_is_no_object_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps([{"seed": 1}]))
+    out = tmp_path / "never.csv"
+    result = invoke("simulate", "--config", str(cfg), *FAST, "--out", str(out))
+    assert result.exit_code == 1
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error")]
+    assert errors == ["Error: config document must be a JSON object"]
+    assert not out.exists()
+
+
 def test_bad_preset_in_config_document(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"preset": "solitons"}))
@@ -222,6 +257,15 @@ def test_crosscheck_within_tolerance():
     result = invoke("crosscheck", "--k", "2", "--p", "2", "--n-modes", "32")
     assert result.exit_code == 0, result.output
     assert "within tolerance" in result.output
+
+
+def test_crosscheck_over_its_tolerance_exits_3(monkeypatch):
+    monkeypatch.setattr(cli, "FD_TOLERANCE", 0)
+    result = invoke("crosscheck", "--k", "2", "--p", "2", "--n-modes", "32")
+    assert result.exit_code == 3
+    assert "tol 0)" in result.output
+    assert result.stderr.splitlines() == ["tolerance violated"]
+    assert "within tolerance" not in result.output
 
 
 def test_crosscheck_prints_the_first_record_of_the_run():

@@ -44,7 +44,8 @@ def _full_span_densities(draw):
     picks = draw(st.lists(st.tuples(st.sampled_from(enumerate_monomials(sig, sig[2])),
                                     _gaussian),
                           min_size=1, max_size=8))
-    return sig, Density.from_terms(picks)
+    return sig, sum((Density.monomial(m.u_orders, m.c_orders, c) for m, c in picks),
+                    Density.zero())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -16,7 +16,7 @@ from nlsenergy import energy as energy_module
 from nlsenergy.algebra import Density, Monomial
 from nlsenergy.rational import GaussianRational
 from nlsenergy.reduction import (MonomialClass, SectorReducer,
-                                 SignatureMismatchError, classify,
+                                 SignatureMismatchError, _eliminate, classify,
                                  reduce_by_sector)
 from nlsenergy.spectral import DensityPlan, random_state
 
@@ -80,10 +80,7 @@ def test_generators_are_total_derivatives():
     a lower-order monomial; identical slots accumulate multiplicity."""
     gens = ibp_generators((2, 1, 3))
     # d/dx of (du)(du)(conj u): the two plain slots canonicalize together
-    expected = Density.from_terms([
-        (Monomial((2, 1), (0,)), 2),
-        (Monomial((1, 1), (1,)), 1),
-    ])
+    expected = Density.monomial((2, 1), (0,), 2) + Density.monomial((1, 1), (1,))
     assert expected in gens
     for g in gens:
         assert all(m.signature == (2, 1, 3) for m in g.monomials())
@@ -182,6 +179,14 @@ def test_mixed_signature_input_rejected():
         red.reduce(bad)
 
 
+def test_a_row_that_does_not_clear_its_pivot_raises():
+    # a row scaled by 2 at its pivot would leave the pivot in place for ever
+    m = Monomial((1,), (0,))
+    rows = {m: ({m: GaussianRational(2)}, {})}
+    with pytest.raises(ArithmeticError, match="not normalized"):
+        list(_eliminate(rows, None, {m: GaussianRational(1)}, {}))
+
+
 def test_reduce_by_sector_reduces_each_sector_over_its_span():
     expr = Density.monomial((3, 2), (1, 0)) * Fraction(2, 7) \
         + Density.monomial((2, 2), (2, 0)) * GaussianRational(0, 1) \
@@ -190,7 +195,7 @@ def test_reduce_by_sector_reduces_each_sector_over_its_span():
     got = reduce_by_sector(expr)
     assert list(got) == sorted(expr.signatures())
     for sig, residual in got.items():
-        part = Density.from_terms((m, c) for m, c in expr.terms() if m.signature == sig)
+        part = Density({m: c for m, c in expr.terms() if m.signature == sig})
         assert not residual.is_zero or sig == (1, 1, 3)
         assert residual == full_span_oracle(sig).reduce(part).residual
     # d[d^1 u conj(u)] is a total derivative: its sector reduces to zero
@@ -251,7 +256,7 @@ def _sector_expressions(draw):
     monomials = _sector_monomials(name, k, p)
     picks = draw(st.lists(st.tuples(st.integers(0, len(monomials) - 1), _gaussian),
                           min_size=1, max_size=8))
-    return name, k, p, Density.from_terms((monomials[i], c) for i, c in picks)
+    return name, k, p, sum((Density({monomials[i]: c}) for i, c in picks), Density.zero())
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

@@ -2,7 +2,12 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -439,6 +444,45 @@ def test_infeasible_system_reports_message_and_residual(monkeypatch, tmp_path, a
     assert "infeasible: no solution for (k=2, p=2)" in result.stderr
     assert "residual: " in result.stderr
     assert not (tmp_path / "report.csv").exists()
+
+
+# a simulate that announces on stdout when its record worker is running
+_ANNOUNCED_SIMULATE = """
+import sys
+from nlsenergy import cli, harness
+initial_state = harness.initial_state
+def announced(config):
+    print("stepping", flush=True)
+    return initial_state(config)
+harness.initial_state = announced
+cli.main(["simulate", "--k", "2", "--t-end", "1000", "--out", sys.argv[1]])
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
+                    or not hasattr(os, "killpg"), reason="needs fork and process groups")
+def test_an_interrupted_simulate_prints_only_aborted(tmp_path):
+    # Ctrl-C reaches the terminal's whole process group, the record worker
+    # included: only Click's message, no worker traceback, nothing left
+    src = Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    out = tmp_path / "never.csv"
+    proc = subprocess.Popen([sys.executable, "-c", _ANNOUNCED_SIMULATE, str(out)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "stepping\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err.strip()) == (1, "Aborted!")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert not out.exists()
 
 
 def test_readme_commands_exist():

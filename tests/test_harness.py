@@ -2,6 +2,12 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +18,26 @@ from nlsenergy.energy import (cubic_density, energy_hash, export_energy,
 from nlsenergy.harness import (CSV_COLUMNS, RunConfig, compile_plans,
                                format_csv, initial_state, max_bound_ratio,
                                observe, run_experiment, write_report)
-from nlsenergy.spectral import DensityPlan, random_state
+from nlsenergy.spectral import BlowupError, DensityPlan, SolverConfig, evolve, random_state
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """No test leaves a record worker running, failing runs included."""
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def start(request, monkeypatch):
+    """Each run of a test twice: its records in the forked worker, and in
+    this process as where fork is unavailable."""
+    if request.param == "forked":
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork is unavailable here")
+    else:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    return request.param
 
 
 def _small_config(**overrides) -> RunConfig:
@@ -185,12 +210,23 @@ def test_record_where_the_derivative_nearly_vanishes_completes():
     assert min(abs(r["dEk_exact"]) for r in rows) < 2.0
 
 
-def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch):
-    compiled = []
+def _pickled(path: Path) -> list:
+    with path.open("rb") as f:
+        found = []
+        while f.peek(1):
+            found.append(pickle.load(f))
+        return found
+
+
+def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch, tmp_path):
+    # the plans compile where the records are taken, in the forked worker
+    # where fork exists, so each compile appends its densities to a file
+    log = tmp_path / "compiled.pickle"
 
     class CountingPlan(spectral.DensityPlan):
         def __init__(self, densities, n_modes):
-            compiled.append(densities)
+            with log.open("ab") as f:
+                pickle.dump(densities, f)
             super().__init__(densities, n_modes)
 
     monkeypatch.setattr(spectral, "DensityPlan", CountingPlan)
@@ -202,15 +238,133 @@ def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch):
     want = (energy.derivative_rest, energy.dispersive_residual(), energy.energy_density(),
             energy.correction, hamiltonian_density(2), PowerImage(energy.correction, 2),
             cubic_density(3, 2))
-    for _ in range(2):
-        compiled.clear()
-        assert len(run_experiment(config, energy)) == 6
-        # the record plan, then the plan of E_k for the finite-difference
-        # legs; none per record
-        assert len(compiled) == 2
-        record, legs = compiled
-        assert record == want
-        assert legs == (energy.energy_density(),)
+    # with the start methods of this platform, then as where fork is unavailable
+    for methods in (multiprocessing.get_all_start_methods(), ["spawn"]):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        for _ in range(2):
+            log.write_bytes(b"")
+            assert len(run_experiment(config, energy)) == 6
+            # the record plan, then the plan of E_k for the finite-difference
+            # legs; none per record
+            compiled = _pickled(log)
+            assert len(compiled) == 2
+            record, legs = compiled
+            assert record == want
+            assert legs == (energy.energy_density(),)
+
+
+def _serial_rows(config: RunConfig, energy) -> list[dict]:
+    """The rows of a run as one loop in this process: a record, then a
+    block of steps, and so on."""
+    plans = compile_plans(energy, config.n_modes)
+    scfg = SolverConfig(n_modes=config.n_modes, dt=config.dt, p=config.p)
+    total_steps = max(1, round(config.t_end / config.dt))
+    per_record = max(1, round(config.record_dt / config.dt))
+    u_hat = initial_state(config)
+    rows = [observe(u_hat, 0.0, energy, config, plans)]
+    done = 0
+    while done < total_steps:
+        block = min(per_record, total_steps - done)
+        u_hat = evolve(u_hat, scfg, block)
+        done += block
+        rows.append(observe(u_hat, done * config.dt, energy, config, plans))
+    return rows
+
+
+@pytest.mark.parametrize("k,n_modes,t_end", [(3, 16, 0.009), (6, 64, 0.05)])
+def test_the_rows_are_those_of_a_serial_run(k, n_modes, t_end, start):
+    # (3,2) has a cubic term and ends on a partial block
+    energy = solve_energy(k, 2)
+    config = _small_config(k=k, n_modes=n_modes, t_end=t_end, record_dt=2e-3, seed=5)
+    rows = run_experiment(config, energy)
+    assert len(rows) == (6 if k == 3 else 26)
+    assert rows == _serial_rows(config, energy)
+
+
+def test_a_run_of_many_large_records_completes():
+    # 302 records of 1024 modes, one per step: the worker's rows and the
+    # trajectory's states must not fill the pipe both ways at once
+    src = Path(harness.__file__).parents[1]
+    code = ("from nlsenergy import RunConfig, run_experiment, solve_energy\n"
+            "config = RunConfig(k=2, n_modes=1024, t_end=0.301, record_dt=1e-3)\n"
+            "print(len(run_experiment(config, solve_energy(2, 2))))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["302"]
+
+
+def test_a_failing_first_record_raises_its_own_error(start):
+    # the steps after it fail too, with another message, and the worker's
+    # record may end after them: the record comes first in the schedule
+    config = _small_config(k=6, preset="planewave", amplitude=1e40)
+    with pytest.raises(BlowupError) as raised:
+        run_experiment(config, solve_energy(6, 2))
+    assert str(raised.value) == "non-finite functional values; reduce dt or the data size"
+
+
+def _failing_steps(monkeypatch, failing_block: int):
+    """Make the run's `failing_block`-th block of 5 steps raise; the
+    finite-difference legs take 10 steps and are spared."""
+    blocks = []
+
+    def evolve_or_fail(u_hat, config, n_steps):
+        if n_steps == 5:
+            blocks.append(n_steps)
+            if len(blocks) == failing_block:
+                raise ArithmeticError("a step failed on purpose")
+        return evolve(u_hat, config, n_steps)
+    monkeypatch.setattr(harness, "evolve", evolve_or_fail)
+
+
+def test_a_failing_step_raises_after_the_records_before_it(monkeypatch, start):
+    _failing_steps(monkeypatch, 4)
+    with pytest.raises(ArithmeticError, match="a step failed on purpose"):
+        run_experiment(_small_config(t_end=0.05), solve_energy(2, 2))
+
+
+def test_a_failed_earlier_record_wins_over_a_failing_step(monkeypatch, start):
+    # the record at the end of block 1 fails, and so does block 2, the
+    # first the run takes after sending that record's state
+    _failing_steps(monkeypatch, 2)
+
+    def observe_or_fail(u_hat, t, *args):
+        if t > 0:
+            raise ValueError(f"the record at t={t} failed on purpose")
+        return observe(u_hat, t, *args)
+    monkeypatch.setattr(harness, "observe", observe_or_fail)
+    with pytest.raises(ValueError, match="the record at t=0.005 failed on purpose"):
+        run_experiment(_small_config(t_end=0.05), solve_energy(2, 2))
+
+
+def test_a_worker_that_dies_ends_the_run(monkeypatch):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork is unavailable here")
+    parent = os.getpid()
+
+    def observe_or_exit(u_hat, t, *args):
+        if os.getpid() != parent and t > 0:
+            os._exit(7)
+        return observe(u_hat, t, *args)
+    monkeypatch.setattr(harness, "observe", observe_or_exit)
+    with pytest.raises(RuntimeError, match="record worker ended with exit code 7"):
+        run_experiment(_small_config(t_end=0.05), solve_energy(2, 2))
+
+
+def _rows_in_a_pool_worker(config: RunConfig) -> list[dict]:
+    return run_experiment(config, solve_energy(2, 2))
+
+
+def test_a_daemonic_worker_takes_its_records_itself():
+    # a multiprocessing pool's workers are daemonic and may start no process
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork is unavailable here")
+    config = _small_config()
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        rows = pool.apply_async(_rows_in_a_pool_worker, (config,)).get(timeout=60)
+    assert rows == _serial_rows(config, solve_energy(2, 2))
 
 
 def test_a_record_equals_separate_evaluations():

@@ -7,18 +7,18 @@ with the complete config, the content hash of the energy document used,
 and the package version, so any figure can be regenerated from the
 artifact alone.
 
-A run takes its records in a worker process forked at its start, while
-this process steps the trajectory: the same code on the same states, so
-the rows are those of a serial run, and a run takes about the longer of
-its steps and its records instead of their sum.  Where fork is
-unavailable (Windows, or inside a daemonic multiprocessing worker, which
-may start no process) the records are taken in this process as each
-state is reached.
+A run steps its trajectory in a child process forked at its start, which
+sends each state on the record schedule down a one-way pipe, while this
+process takes the records as the states arrive: the same code on the
+same states, so the rows are those of a serial run, and a run takes
+about the longer of its steps and its records instead of their sum.
+Where fork is unavailable (Windows, or inside a daemonic multiprocessing
+worker, which may start no process) the same schedule is stepped in this
+process, each state recorded as it is reached.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import json
@@ -206,158 +206,111 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
     return row
 
 
-# states sent to the record worker and not yet answered: one in work and
-# one queued, so the worker never waits for the trajectory, while the pipe
-# holds at most two states and two rows and neither end can block the other
-_IN_FLIGHT = 2
+def _trajectory(config: RunConfig):
+    """The states (u_hat, t) of the run on its record schedule: t=0, then
+    every record_dt rounded to whole steps, and t_end.  The schedule
+    depends only on the config, which is what makes reports
+    byte-reproducible."""
+    scfg = SolverConfig(n_modes=config.n_modes, dt=config.dt, p=config.p)
+    total_steps = max(1, round(config.t_end / config.dt))
+    per_record = max(1, round(config.record_dt / config.dt))
+    u_hat = initial_state(config)
+    yield u_hat, 0.0
+    done = 0
+    while done < total_steps:
+        block = min(per_record, total_steps - done)
+        u_hat = evolve(u_hat, scfg, block)
+        done += block
+        yield u_hat, done * config.dt
 
 
-def _recorder(energy: EnergyDefinition, config: RunConfig):
-    """The body of the record loop: a function from a state (u_hat, t) to
-    its row, or to the exception its record raised, which the run raises in
-    schedule order.  The plans compile at the first record."""
-    plans = None
-
-    def record(state):
-        nonlocal plans
-        try:
-            if plans is None:
-                plans = compile_plans(energy, config.n_modes)
-            return observe(*state, energy, config, plans)
-        except Exception as exc:
-            return exc
-    return record
-
-
-def _record_loop(conn, parent_end, energy: EnergyDefinition, config: RunConfig):
-    """The forked record worker: answers each state with its row until the
-    parent sends None or closes its end.  Ctrl-C is the parent's to handle."""
+def _step_loop(conn, parent_end, config: RunConfig):
+    """The forked stepper: sends each state of the trajectory, then None,
+    or the exception a step raised.  Ctrl-C is the parent's to handle."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    # the fork copied the parent's end too: held open here, this end would
-    # never see the parent close it
+    # the fork copied the parent's end too: held open here, it would keep
+    # a send blocked on a full pipe once the parent is gone
     parent_end.close()
-    record = _recorder(energy, config)
     try:
-        while (state := conn.recv()) is not None:
-            conn.send(record(state))
-    except (EOFError, OSError):
-        pass  # the parent ended the run early
+        for state in _trajectory(config):
+            conn.send(state)
+    except Exception as exc:
+        conn.send(exc)
+    else:
+        conn.send(None)
 
 
-class _InProcess:
-    """The pipe to the record worker where fork is unavailable: each state
-    is recorded in this process as it is sent."""
-
-    def __init__(self, energy: EnergyDefinition, config: RunConfig):
-        self._record = _recorder(energy, config)
-        self._rows = collections.deque()
-
-    def send(self, state):
-        if state is not None:
-            self._rows.append(self._record(state))
-
-    def poll(self) -> bool:
-        return bool(self._rows)
-
-    def recv(self):
-        return self._rows.popleft()
+def _received(conn, stepper):
+    """The states the stepper sends, ending at its None; raises the
+    exception of a failed step in its place."""
+    while True:
+        try:
+            state = conn.recv()
+        except EOFError:
+            # only a stepper that is gone closes the pipe before its None
+            stepper.join()
+            raise RuntimeError(f"the trajectory's stepper ended with exit code "
+                               f"{stepper.exitcode} before the run did") from None
+        if state is None:
+            return
+        if isinstance(state, Exception):
+            raise state
+        yield state
 
 
 @contextlib.contextmanager
-def _record_worker(energy: EnergyDefinition, config: RunConfig):
-    """A connection to the run's record worker: a forked child, stopped and
-    joined on exit whatever ended the run, or this process where fork is
-    unavailable, as in a daemonic multiprocessing worker, which may start
-    no process."""
+def _states(config: RunConfig):
+    """The states of the run's trajectory: stepped in a forked child,
+    stopped and joined on exit whatever ended the run, or in this process
+    where fork is unavailable, as in a daemonic multiprocessing worker,
+    which may start no process."""
     # imported at the first run: with this module, they added about 7 ms
     # to the start of every command, `build` and `verify` included
     import multiprocessing
     import signal
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        yield _InProcess(energy, config)
+        yield _trajectory(config)
         return
     context = multiprocessing.get_context("fork")
-    ours, theirs = context.Pipe()
-    worker = context.Process(target=_record_loop, args=(theirs, ours, energy, config))
+    ours, theirs = context.Pipe(duplex=False)
+    stepper = context.Process(target=_step_loop, args=(theirs, ours, config))
     try:
         # a Ctrl-C from the fork until the child ignores it stays pending
         # for this process instead of raising in the child
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            worker.start()
+            stepper.start()
         finally:
             theirs.close()
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        try:
-            yield ours
-        except (EOFError, OSError) as exc:
-            # only the pipe raises these here: the worker is gone
-            ours.close()
-            worker.join()
-            raise RuntimeError(f"the record worker ended with exit code "
-                               f"{worker.exitcode} before the run did") from exc
+        yield _received(ours, stepper)
     finally:
+        if stepper.pid is not None:
+            stepper.terminate()
+            stepper.join()
         ours.close()
-        if worker.pid is not None:
-            worker.join()
 
 
 def run_experiment(config: RunConfig, energy: EnergyDefinition) -> list[dict]:
     """Integrate and record observables on the fixed schedule.
 
     Records at t=0, then every record_dt (rounded to whole steps), and at
-    t_end.  The schedule depends only on the config, which is what makes
-    reports byte-reproducible.  The records are taken in a forked worker
-    while this process steps on (in this process where fork is
-    unavailable), with plans compiled once, before the first record; the
-    rows are those of a serial run.  So are the errors: the first failure
-    in schedule order is raised, a record's before the failure of a later
-    step.
+    t_end.  The trajectory is stepped in a forked child while this process
+    compiles the plans once and takes the records (in this process too
+    where fork is unavailable).  The rows are those of a serial run, and
+    so are the errors: the records raise in schedule order, and a failed
+    step raises after the records before it.
     """
     if (energy.k, energy.p) != (config.k, config.p):
         raise ValueError(
             f"energy document is for (k={energy.k}, p={energy.p}), "
             f"config wants (k={config.k}, p={config.p})")
-    scfg = SolverConfig(n_modes=config.n_modes, dt=config.dt, p=config.p)
-    total_steps = max(1, round(config.t_end / config.dt))
-    per_record = max(1, round(config.record_dt / config.dt))
-    rows: list[dict] = []
-    with _record_worker(energy, config) as worker:
-        sent = 0
-
-        def collect(in_flight: int):
-            """Take the rows ready, and wait for more while over `in_flight`
-            states are unanswered; raise the first failed record."""
-            while len(rows) < sent and (sent - len(rows) > in_flight or worker.poll()):
-                row = worker.recv()
-                if isinstance(row, Exception):
-                    raise row
-                rows.append(row)
-
-        def submit(u_hat: np.ndarray, t: float):
-            nonlocal sent
-            collect(_IN_FLIGHT - 1)
-            worker.send((u_hat, t))
-            sent += 1
-
-        u_hat = initial_state(config)
-        submit(u_hat, 0.0)
-        done = 0
-        while done < total_steps:
-            block = min(per_record, total_steps - done)
-            try:
-                u_hat = evolve(u_hat, scfg, block)
-            except Exception:
-                collect(0)  # a failed earlier record comes first
-                raise
-            done += block
-            submit(u_hat, done * config.dt)
-        collect(0)
-        worker.send(None)
-    return rows
+    with _states(config) as states:
+        plans = compile_plans(energy, config.n_modes)
+        return [observe(u_hat, t, energy, config, plans) for u_hat, t in states]
 
 
 def format_csv(rows: list[dict]) -> str:

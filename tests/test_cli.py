@@ -446,7 +446,7 @@ def test_infeasible_system_reports_message_and_residual(monkeypatch, tmp_path, a
     assert not (tmp_path / "report.csv").exists()
 
 
-# a simulate that announces on stdout when its record worker is running
+# a simulate that announces on stdout when its stepper is running
 _ANNOUNCED_SIMULATE = """
 import sys
 from nlsenergy import cli, harness
@@ -462,8 +462,8 @@ cli.main(["simulate", "--k", "2", "--t-end", "1000", "--out", sys.argv[1]])
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
                     or not hasattr(os, "killpg"), reason="needs fork and process groups")
 def test_an_interrupted_simulate_prints_only_aborted(tmp_path):
-    # Ctrl-C reaches the terminal's whole process group, the record worker
-    # included: only Click's message, no worker traceback, nothing left
+    # Ctrl-C reaches the terminal's whole process group, the forked stepper
+    # included: only Click's message, no stepper traceback, nothing left
     src = Path(cli.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))

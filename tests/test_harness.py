@@ -4,7 +4,6 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -23,15 +22,16 @@ from nlsenergy.spectral import BlowupError, DensityPlan, SolverConfig, evolve, r
 
 @pytest.fixture(autouse=True)
 def no_worker_left():
-    """No test leaves a record worker running, failing runs included."""
+    """No test leaves a run's stepper running, failing runs included."""
     yield
     assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(params=["forked", "in-process"])
 def start(request, monkeypatch):
-    """Each run of a test twice: its records in the forked worker, and in
-    this process as where fork is unavailable."""
+    """Each run of a test twice: its trajectory stepped in the forked
+    child, which sends the states to this process to record, and stepped
+    in this process as where fork is unavailable."""
     if request.param == "forked":
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork is unavailable here")
@@ -210,23 +210,14 @@ def test_record_where_the_derivative_nearly_vanishes_completes():
     assert min(abs(r["dEk_exact"]) for r in rows) < 2.0
 
 
-def _pickled(path: Path) -> list:
-    with path.open("rb") as f:
-        found = []
-        while f.peek(1):
-            found.append(pickle.load(f))
-        return found
-
-
-def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch, tmp_path):
-    # the plans compile where the records are taken, in the forked worker
-    # where fork exists, so each compile appends its densities to a file
-    log = tmp_path / "compiled.pickle"
+def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch):
+    # the plans compile where the records are taken: in this process,
+    # whether the trajectory is stepped in a forked child or here
+    compiled = []
 
     class CountingPlan(spectral.DensityPlan):
         def __init__(self, densities, n_modes):
-            with log.open("ab") as f:
-                pickle.dump(densities, f)
+            compiled.append(densities)
             super().__init__(densities, n_modes)
 
     monkeypatch.setattr(spectral, "DensityPlan", CountingPlan)
@@ -242,11 +233,10 @@ def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch, tmp_pat
     for methods in (multiprocessing.get_all_start_methods(), ["spawn"]):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
         for _ in range(2):
-            log.write_bytes(b"")
+            compiled.clear()
             assert len(run_experiment(config, energy)) == 6
             # the record plan, then the plan of E_k for the finite-difference
             # legs; none per record
-            compiled = _pickled(log)
             assert len(compiled) == 2
             record, legs = compiled
             assert record == want
@@ -281,24 +271,28 @@ def test_the_rows_are_those_of_a_serial_run(k, n_modes, t_end, start):
     assert rows == _serial_rows(config, energy)
 
 
-def test_a_run_of_many_large_records_completes():
-    # 302 records of 1024 modes, one per step: the worker's rows and the
-    # trajectory's states must not fill the pipe both ways at once
+def _python(code: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports this package."""
     src = Path(harness.__file__).parents[1]
-    code = ("from nlsenergy import RunConfig, run_experiment, solve_energy\n"
-            "config = RunConfig(k=2, n_modes=1024, t_end=0.301, record_dt=1e-3)\n"
-            "print(len(run_experiment(config, solve_energy(2, 2))))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_a_run_of_many_large_records_completes():
+    # 302 records of 1024 modes, one per step: the stepper runs ahead
+    # until the one-way pipe is full, and waits there for the records
+    done = _python("from nlsenergy import RunConfig, run_experiment, solve_energy\n"
+                   "config = RunConfig(k=2, n_modes=1024, t_end=0.301, record_dt=1e-3)\n"
+                   "print(len(run_experiment(config, solve_energy(2, 2))))\n", timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["302"]
 
 
 def test_a_failing_first_record_raises_its_own_error(start):
-    # the steps after it fail too, with another message, and the worker's
-    # record may end after them: the record comes first in the schedule
+    # the steps after it fail too, with another message, and the stepper
+    # may fail before the record ends: the record comes first in the schedule
     config = _small_config(k=6, preset="planewave", amplitude=1e40)
     with pytest.raises(BlowupError) as raised:
         run_experiment(config, solve_energy(6, 2))
@@ -326,8 +320,8 @@ def test_a_failing_step_raises_after_the_records_before_it(monkeypatch, start):
 
 
 def test_a_failed_earlier_record_wins_over_a_failing_step(monkeypatch, start):
-    # the record at the end of block 1 fails, and so does block 2, the
-    # first the run takes after sending that record's state
+    # the record at the end of block 1 fails, and so does block 2, which
+    # the stepper takes as soon as it has sent that record's state
     _failing_steps(monkeypatch, 2)
 
     def observe_or_fail(u_hat, t, *args):
@@ -339,17 +333,45 @@ def test_a_failed_earlier_record_wins_over_a_failing_step(monkeypatch, start):
         run_experiment(_small_config(t_end=0.05), solve_energy(2, 2))
 
 
+# a run whose t=0 record fails while its first block is 10**7 steps long
+_BLOWUP_RUN = """
+import multiprocessing, sys
+from nlsenergy import BlowupError, RunConfig, run_experiment, solve_energy
+if sys.argv[1] == "in-process":
+    multiprocessing.get_all_start_methods = lambda: ["spawn"]
+config = RunConfig(k=6, preset="planewave", amplitude=1e40, t_end=1e4, record_dt=1e4)
+try:
+    run_experiment(config, solve_energy(6, 2))
+except BlowupError as exc:
+    print(exc)
+print(len(multiprocessing.active_children()))
+"""
+
+
+def test_a_failing_record_ends_the_run_at_once(start):
+    # the record raises at once, and the stepper, still in its first block
+    # or failed itself, is stopped: the run does not wait for it
+    done = _python(_BLOWUP_RUN, start, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "non-finite functional values; reduce dt or the data size", "0"]
+
+
 def test_a_worker_that_dies_ends_the_run(monkeypatch):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork is unavailable here")
     parent = os.getpid()
+    blocks = []
 
-    def observe_or_exit(u_hat, t, *args):
-        if os.getpid() != parent and t > 0:
-            os._exit(7)
-        return observe(u_hat, t, *args)
-    monkeypatch.setattr(harness, "observe", observe_or_exit)
-    with pytest.raises(RuntimeError, match="record worker ended with exit code 7"):
+    def evolve_or_exit(u_hat, config, n_steps):
+        # the stepper dies after its first block
+        if os.getpid() != parent:
+            if blocks:
+                os._exit(7)
+            blocks.append(n_steps)
+        return evolve(u_hat, config, n_steps)
+    monkeypatch.setattr(harness, "evolve", evolve_or_exit)
+    with pytest.raises(RuntimeError, match="stepper ended with exit code 7"):
         run_experiment(_small_config(t_end=0.05), solve_energy(2, 2))
 
 

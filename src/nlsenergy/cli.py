@@ -17,7 +17,7 @@ import click
 from click.core import ParameterSource
 
 from .algebra import density_to_text
-from .energy import (EnergyDocumentError, InfeasibleSystemError,
+from .energy import (EnergyDocumentError, InfeasibleSystemError, _check_kp,
                      import_energy, save_energy, solve_energy,
                      verify_exact_conservation, verify_identities)
 from .harness import (DECOMPOSITION_TOLERANCE, FD_TOLERANCE, RunConfig,
@@ -35,25 +35,23 @@ def main():
     """Exact modified energies for the 1d periodic defocusing NLS equation."""
 
 
-def _parse_range(text: str, label: str) -> list[int]:
+def _parse_range(text: str, label: str) -> range:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, sep, hi = text.partition("..")
+        lo, hi = int(lo), int(hi if sep else lo)
+        if hi < lo:
+            raise ValueError
+        return range(lo, hi + 1)
     except ValueError:
         raise click.UsageError(
             f"--{label} must be an integer or a range like 2..8, got {text!r}")
 
 
 def _require_kp(k: int, p: int):
-    if k < 2:
-        raise click.UsageError(f"--k must be >= 2, got {k}")
-    if p < 2:
-        raise click.UsageError(f"--p must be >= 2, got {p}")
+    try:
+        _check_kp(k, p)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 _RUN_FLAGS = [
@@ -114,11 +112,12 @@ def _load_energy(config: RunConfig, energy_path):
         doc = None
     if isinstance(doc, dict):
         k, p = doc.get("k"), doc.get("p")
-        if ((k, p) != (config.k, config.p)
-                and all(type(v) is int and v >= 2 for v in (k, p))):
-            raise click.UsageError(
-                f"energy document is for (k={k}, p={p}) "
-                f"but the run wants (k={config.k}, p={config.p})")
+        if (k, p) != (config.k, config.p):
+            with contextlib.suppress(ValueError):
+                _check_kp(k, p)
+                raise click.UsageError(
+                    f"energy document is for (k={k}, p={p}) "
+                    f"but the run wants (k={config.k}, p={config.p})")
     else:
         doc = energy_path  # import_energy says what is wrong with the file
     try:
@@ -193,7 +192,9 @@ def verify(k_range, p_range):
     """Verify every structural identity and solve feasibility on a grid."""
     ks = _parse_range(k_range, "k")
     ps = _parse_range(p_range, "p")
-    _require_kp(min(ks), min(ps))
+    # every (k, p) of the grid lies between its corners, checked before any loop
+    _require_kp(ks[0], ps[0])
+    _require_kp(ks[-1], ps[-1])
     failures = 0
     for p in ps:
         for name, residual in verify_exact_conservation(p).items():

@@ -156,10 +156,19 @@ def build_catalogue(k: int, p: int) -> list[CatalogueEntry]:
             if h <= top[family] and (h, family) != (1, Family.ALIGNED_C)]
 
 
+# the largest k * p a solve, a check or a document may have: the cost grows
+# with k and p together.  150 is the least product that keeps the tests'
+# (30,5); on 2 cores its slowest cell, (50,3), builds in 11 s and 1 GB, (40,5) in 39 s
+MAX_KP = 150
+
+
 def _check_kp(k: int, p: int):
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"Sobolev index k must be an int >= 2, got {k!r}")
     _check_exponent(p)
+    # both are ints now: k * "2" would be a string repeat, not a product
+    if k * p > MAX_KP:
+        raise ValueError(f"k * p must be at most {MAX_KP}, got k={k}, p={p}")
 
 
 def quadratic_density(k: int) -> Density:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .energy import (EnergyDefinition, cubic_density, energy_hash,
+from .energy import (EnergyDefinition, _check_kp, cubic_density, energy_hash,
                      hamiltonian_density)
 from .spectral import (DensityPlan, DensityValue, SolverConfig, _check_mode,
                        _check_modes, evolve, l2_norm, plane_wave, random_state,
@@ -69,12 +69,14 @@ class RunConfig:
     def __post_init__(self):
         """The one validation point of a run, so that bad input fails here,
         before any solve or step."""
-        for name, low in (("k", 2), ("p", 2), ("n_modes", 8), ("seed", 0),
-                          ("fd_substeps", 1)):
+        _check_kp(self.k, self.p)
+        for name, low in (("n_modes", 8), ("seed", 0), ("fd_substeps", 1)):
             value = getattr(self, name)
             # a bool is an int to Python, but never a count a run can use
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+        if self.fd_substeps > MAX_STEPS:
+            raise ValueError(f"fd_substeps must be at most {MAX_STEPS}, got {self.fd_substeps}")
         # the .meta.json sidecar records the mode whatever the preset
         if not isinstance(self.mode, int) or isinstance(self.mode, bool):
             raise ValueError(f"mode must be an int, got {self.mode!r}")

@@ -28,9 +28,25 @@ def invoke(*args):
     return CliRunner().invoke(main, list(args))
 
 
+def assert_usage_error(*args):
+    """Exit 1 with one `Error:` line: a traceback is exit 1 to CliRunner too."""
+    result = invoke(*args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert len([line for line in result.stderr.splitlines() if line.startswith("Error")]) == 1
+
+
+HUGE = str(2 ** 70)
+
+
 def test_build_rejects_small_indices():
-    assert invoke("build", "--k", "1", "--p", "2").exit_code == 1
-    assert invoke("build", "--k", "2", "--p", "0").exit_code == 1
+    assert_usage_error("build", "--k", "1", "--p", "2")
+    assert_usage_error("build", "--k", "2", "--p", "0")
+    # and those past MAX_KP, before any catalogue is built
+    assert_usage_error("build", "--k", HUGE, "--p", "2")
+    assert_usage_error("build", "--k", "3", "--p", HUGE)
+    assert_usage_error("build", "--k", "76", "--p", "2")
+    assert_usage_error("crosscheck", "--k", HUGE)
 
 
 def test_build_prints_table_and_writes_document(tmp_path):
@@ -50,9 +66,12 @@ def test_verify_single_pair_passes():
 
 
 def test_verify_range_syntax():
-    assert invoke("verify", "--k", "9..2", "--p", "2").exit_code == 1
-    assert invoke("verify", "--k", "two", "--p", "2").exit_code == 1
-    assert invoke("verify", "--k", "1", "--p", "2").exit_code == 1
+    assert_usage_error("verify", "--k", "9..2", "--p", "2")
+    assert_usage_error("verify", "--k", "two", "--p", "2")
+    assert_usage_error("verify", "--k", "1", "--p", "2")
+    # a range past MAX_KP is refused before any list of it is built
+    assert_usage_error("verify", "--k", f"2..{10 ** 12}", "--p", "2")
+    assert_usage_error("verify", "--p", f"2..{10 ** 21}")
 
 
 def test_verify_over_a_range_checks_each_index():

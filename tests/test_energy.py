@@ -1,7 +1,9 @@
 """Catalogue construction, solved energies, identity grid, serialization."""
 
 import ast
+import contextlib
 import copy
+import dataclasses
 import gc
 import hashlib
 import json
@@ -24,7 +26,7 @@ from nlsenergy.algebra import (Density, Monomial, density_from_text,
 from nlsenergy.energy import (FAMILY_ORDER, POWER_IMAGE_REFERENCE,
                               CorrectionReductionError, EnergyDocumentError, Family,
                               InfeasibleSystemError, _assemble,
-                              basic_density, build_catalogue,
+                              _check_kp, basic_density, build_catalogue,
                               correction_density, cubic_density,
                               cubic_monomial, dispersive_reducer,
                               energy_hash, export_energy, hamiltonian_density,
@@ -123,6 +125,16 @@ def test_out_of_range_indices_rejected():
         build_catalogue(1, 2)
     with pytest.raises(ValueError):
         build_catalogue(3, 1)
+
+
+def test_check_kp_bounds_the_product():
+    for k, p in [(75, 2), (50, 3), (3, 50)]:
+        _check_kp(k, p)
+    # the last pair fails its type check before any product: 2**70 * "2"
+    # would be a string repeat
+    for k, p in [(76, 2), (51, 3), (3, 51), (2 ** 70, 2), (3, 2 ** 70), (2 ** 70, "2")]:
+        with pytest.raises(ValueError):
+            _check_kp(k, p)
 
 
 def test_fixed_densities():
@@ -484,6 +496,22 @@ def _other_p(doc):
     doc["p"] = 3
 
 
+# the next three are past MAX_KP: without the bound p = 2**70 overflowed a
+# tuple repeat and k = 2**70 built a catalogue that never ended; k = 76
+# puts k * p at 152
+
+def _huge_p(doc):
+    doc["p"] = 2 ** 70
+
+
+def _huge_k(doc):
+    doc["k"] = 2 ** 70
+
+
+def _k_past_the_bound(doc):
+    doc["k"] = 76
+
+
 def _zero_denominator(doc):
     doc["coefficients"]["aligned_u[1]"] = "1/0"
 
@@ -544,12 +572,41 @@ def _version_as_float(doc):
     _other_p, _zero_denominator, _infinite_cubic, _reorder_exact_derivative,
     _unreduced_quartic_coefficient, _reorder_correction, _unreduced_coefficient,
     _coefficient_as_number, _unreduced_cubic, _extra_key, _version_as_float,
+    _huge_p, _huge_k, _k_past_the_bound,
 ])
 def test_import_rejects_tampered_documents(mutate):
     doc = export_energy(solve_energy(3, 2))
     mutate(doc)
     with pytest.raises(EnergyDocumentError):
         import_energy(doc)
+
+
+# JSON-like values: ints far past any bound, a number no float holds,
+# floats with nan and inf, bools, strings, lists, objects and null
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.just(10 ** 400)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_import_takes_any_value_in_a_field_or_refuses_it(data):
+    doc = export_energy(solve_energy(3, 2))
+    doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(_JSON_VALUES)
+    with contextlib.suppress(EnergyDocumentError):
+        import_energy(doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_config_takes_any_value_in_a_field_or_refuses_it(data):
+    fields = dataclasses.asdict(RunConfig())
+    fields[data.draw(st.sampled_from(sorted(fields)))] = data.draw(_JSON_VALUES)
+    with contextlib.suppress(ValueError):
+        RunConfig.from_dict(fields)
 
 
 def _schema_1_document(energy):

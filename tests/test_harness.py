@@ -76,6 +76,7 @@ def test_run_config_validation():
     {"t_end": 10 ** 400}, {"amplitude": -10 ** 400}, {"dt": "1e-3"}, {"r_h1": 1j},
     {"t_end": 1e300, "dt": 1e-5}, {"record_dt": 2e6, "t_end": 2e6},
     {"t_end": harness.MAX_STEPS + 1, "dt": 1, "record_dt": 1},
+    {"fd_substeps": harness.MAX_STEPS + 1},
 ])
 def test_run_config_rejects_what_no_run_can_use(overrides):
     with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ import enum
 import functools
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -613,6 +614,14 @@ def save_energy(energy: EnergyDefinition, path) -> None:
     Path(path).write_text(json.dumps(export_energy(energy), indent=2) + "\n")
 
 
+def _fraction(text) -> Fraction:
+    # only the form str(Fraction) writes: Fraction alone would also take an
+    # exponent, and build an int of 10**7 digits for "1e10000000"
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"not a fraction n or n/d: {text!r:.40}")
+    return Fraction(text)
+
+
 def import_energy(source) -> EnergyDefinition:
     """Load and fully validate an energy document (a dict, or the path of
     a JSON file).
@@ -635,8 +644,8 @@ def import_energy(source) -> EnergyDefinition:
         version = doc["schema_version"]
         k, p = doc["k"], doc["p"]
         _check_kp(k, p)
-        coefficients = {name: Fraction(v) for name, v in doc["coefficients"].items()}
-        cubic_coefficient = Fraction(doc["cubic_coeff"])
+        coefficients = {name: _fraction(v) for name, v in doc["coefficients"].items()}
+        cubic_coefficient = _fraction(doc["cubic_coeff"])
         correction_text = doc["F_k"]
     # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
     except (OSError, KeyError, ValueError, TypeError, AttributeError,

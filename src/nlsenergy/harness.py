@@ -7,20 +7,22 @@ with the complete config, the content hash of the energy document used,
 and the package version, so any figure can be regenerated from the
 artifact alone.
 
-A run steps its trajectory in a child process forked at its start, which
-sends each state on the record schedule down a one-way pipe, while this
-process takes the records as the states arrive: the same code on the
-same states, so the rows are those of a serial run, and a run takes
-about the longer of its steps and its records instead of their sum.
-Where fork is unavailable (Windows, or inside a daemonic multiprocessing
-worker, which may start no process) the same schedule is stepped in this
-process, each state recorded as it is reached.
+A run draws its initial state, then forks a child that only steps and
+sends each later state on the record schedule down a one-way pipe, while
+this process takes the t=0 record and the others as the states arrive:
+the same code on the same states, so the rows are those of a serial run,
+and a run takes about the longer of its steps and its records instead of
+their sum.  Where fork is unavailable (Windows, or inside a daemonic
+multiprocessing worker, which may start no process) the same schedule is
+stepped in this process.  Random phases are np.random.default_rng(seed)'s
+draws, PCG64 seeded by SeedSequence, made without importing numpy.random.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -208,16 +210,14 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
     return row
 
 
-def _trajectory(config: RunConfig):
-    """The states (u_hat, t) of the run on its record schedule: t=0, then
-    every record_dt rounded to whole steps, and t_end.  The schedule
-    depends only on the config, which is what makes reports
-    byte-reproducible."""
+def _trajectory(config: RunConfig, u_hat: np.ndarray):
+    """The states (u_hat, t) of the run after t=0 on its record schedule,
+    stepped from the initial state u_hat: every record_dt rounded to
+    whole steps, and t_end.  The schedule depends only on the config,
+    which is what makes reports byte-reproducible."""
     scfg = SolverConfig(n_modes=config.n_modes, dt=config.dt, p=config.p)
     total_steps = max(1, round(config.t_end / config.dt))
     per_record = max(1, round(config.record_dt / config.dt))
-    u_hat = initial_state(config)
-    yield u_hat, 0.0
     done = 0
     while done < total_steps:
         block = min(per_record, total_steps - done)
@@ -226,9 +226,9 @@ def _trajectory(config: RunConfig):
         yield u_hat, done * config.dt
 
 
-def _step_loop(conn, parent_end, config: RunConfig):
-    """The forked stepper: sends each state of the trajectory, then None,
-    or the exception a step raised.  Ctrl-C is the parent's to handle."""
+def _step_loop(conn, parent_end, config: RunConfig, u_hat: np.ndarray):
+    """The forked stepper: sends each state after t=0, then None, or the
+    exception a step raised.  Ctrl-C is the parent's to handle."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
@@ -236,7 +236,7 @@ def _step_loop(conn, parent_end, config: RunConfig):
     # a send blocked on a full pipe once the parent is gone
     parent_end.close()
     try:
-        for state in _trajectory(config):
+        for state in _trajectory(config, u_hat):
             conn.send(state)
     except Exception as exc:
         conn.send(exc)
@@ -264,21 +264,22 @@ def _received(conn, stepper):
 
 @contextlib.contextmanager
 def _states(config: RunConfig):
-    """The states of the run's trajectory: stepped in a forked child,
-    stopped and joined on exit whatever ended the run, or in this process
-    where fork is unavailable, as in a daemonic multiprocessing worker,
-    which may start no process."""
+    """The states of the run's trajectory: the initial state, drawn here
+    before any process starts, then the later ones, stepped in a forked
+    child that is stopped and joined on exit whatever ended the run, or
+    in this process where fork is unavailable."""
     # imported at the first run: with this module, they added about 7 ms
     # to the start of every command, `build` and `verify` included
     import multiprocessing
     import signal
+    u_hat = initial_state(config)
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        yield _trajectory(config)
+        yield itertools.chain([(u_hat, 0.0)], _trajectory(config, u_hat))
         return
     context = multiprocessing.get_context("fork")
     ours, theirs = context.Pipe(duplex=False)
-    stepper = context.Process(target=_step_loop, args=(theirs, ours, config))
+    stepper = context.Process(target=_step_loop, args=(theirs, ours, config, u_hat))
     try:
         # a Ctrl-C from the fork until the child ignores it stays pending
         # for this process instead of raising in the child
@@ -288,7 +289,7 @@ def _states(config: RunConfig):
         finally:
             theirs.close()
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield _received(ours, stepper)
+        yield itertools.chain([(u_hat, 0.0)], _received(ours, stepper))
     finally:
         if stepper.pid is not None:
             stepper.terminate()
@@ -300,11 +301,11 @@ def run_experiment(config: RunConfig, energy: EnergyDefinition) -> list[dict]:
     """Integrate and record observables on the fixed schedule.
 
     Records at t=0, then every record_dt (rounded to whole steps), and at
-    t_end.  The trajectory is stepped in a forked child while this process
-    compiles the plans once and takes the records (in this process too
-    where fork is unavailable).  The rows are those of a serial run, and
-    so are the errors: the records raise in schedule order, and a failed
-    step raises after the records before it.
+    t_end.  The trajectory is stepped from the state this process draws in
+    a forked child, while this process compiles the plans once and takes
+    the records (in this process too where fork is unavailable).  The rows
+    are those of a serial run, and so are the errors: the records raise in
+    schedule order, and a failed step raises after the records before it.
     """
     if (energy.k, energy.p) != (config.k, config.p):
         raise ValueError(

@@ -49,6 +49,7 @@ states compiles their plan once and holds it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +116,8 @@ def evolve(u_hat: np.ndarray, config: SolverConfig, n_steps: int) -> np.ndarray:
 
     The state stays on the padded spectrum of m = (p+1)*n_modes slots
     for the whole call; the spectrum, the grid, the squares of its parts,
-    the angle and the rotation are allocated once and every step writes
-    into them.  A step takes the unnormalised inverse FFT to the grid,
+    |g|^2, the angle and the rotation are allocated once and every step
+    writes into them.  A step takes the unnormalised inverse FFT to the grid,
     rotates each grid value g by exp(-i dt |g|^(2p)), with |g|^2 from one
     product and one sum, the angle from |g|^2 by p-1 multiplications and
     the rotation from its cosine and sine, and transforms back.  The
@@ -159,14 +160,15 @@ def evolve(u_hat: np.ndarray, config: SolverConfig, n_steps: int) -> np.ndarray:
     spec[slots] = u_hat * half
     g = np.empty(m, dtype=complex)
     rot = np.empty(m, dtype=complex)
-    angle = np.empty(m)
+    mag2, angle = np.empty(m), np.empty(m)
     # g as its interleaved real and imaginary parts: one contiguous product
     # squares both, and one sum of their strided halves is |g|^2
     g_parts = g.view(float)
     squares = np.empty(2 * m)
     re_squares, im_squares = squares[0::2], squares[1::2]
     rot_re, rot_im = rot.real, rot.imag
-    neg_dt = -config.dt
+    # 0-d arrays: a float argument is converted to one on every call
+    one, neg_dt = np.array(1.0), np.array(-config.dt)
     # local names: the global and attribute lookups of these calls measured
     # about 5% of a step at 64 modes
     pocketfft = _pocketfft()
@@ -178,17 +180,16 @@ def evolve(u_hat: np.ndarray, config: SolverConfig, n_steps: int) -> np.ndarray:
         for i in range(n_steps):
             if i:
                 multiply(spec, full, spec)
-            ifft(spec, 1.0, g)
-            # |g|^2 first goes through the rotation buffer as scratch
+            ifft(spec, one, g)
             multiply(g_parts, g_parts, squares)
-            add(re_squares, im_squares, rot_re)
-            multiply(rot_re, neg_dt, angle)
+            add(re_squares, im_squares, mag2)
+            multiply(mag2, neg_dt, angle)
             for _ in powers:
-                multiply(angle, rot_re, angle)        # -dt |g|^(2p)
+                multiply(angle, mag2, angle)          # -dt |g|^(2p)
             cos(angle, rot_re)
             sin(angle, rot_im)
             multiply(g, rot, g)
-            fft(g, 1.0, spec)
+            fft(g, one, spec)
     return _check_finite(spec[slots] * (half / m))
 
 
@@ -207,19 +208,58 @@ def plane_wave(amplitude: complex, mode: int, n_modes: int) -> np.ndarray:
     return u
 
 
+def _seed_hash(mult: int, factor: int):
+    """SeedSequence's 32-bit hash, whose multiplier runs on from `mult`."""
+    def hashed(value: int) -> int:
+        nonlocal mult
+        mult, value = mult * factor & 0xFFFFFFFF, value ^ mult
+        value = value * mult & 0xFFFFFFFF
+        return value ^ value >> 16
+    return hashed
+
+
+def _uniforms(seed: int):
+    """The doubles np.random.default_rng(seed).random() returns, in order,
+    with Python ints: numpy's default stream, PCG64 (XSL-RR output)
+    seeded by SeedSequence(seed), so a run never imports numpy.random."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    # SeedSequence: the seed's 32-bit words, low first, mixed into 4 pool words
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, seed.bit_length() or 1, 32)]
+    mix = _seed_hash(0x43B0D7E5, 0x931E8875)
+    pool = [mix(word) for word in (words + [0] * 3)[:4]]
+    for src in range(max(4, len(words))):
+        for dst in (dst for dst in range(4) if dst != src):
+            mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * mix(
+                pool[src] if src < 4 else words[src]) & 0xFFFFFFFF
+            pool[dst] = mixed ^ mixed >> 16
+    out = list(map(_seed_hash(0x8B51F9DD, 0x58F38DED), pool * 2))
+    # the 128-bit state seed and stream from the 64-bit words, low half first
+    start, stream = (out[i + 1] << 96 | out[i] << 64 | out[i + 3] << 32 | out[i + 2]
+                     for i in (0, 4))
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, stream << 1 | 1
+    state = ((inc + start) * mult + inc) % 2 ** 128
+    while True:
+        state = (state * mult + inc) % 2 ** 128
+        word, rot = (state >> 64 ^ state) % 2 ** 64, state >> 122
+        yield ((word >> rot | word << 64 - rot) % 2 ** 64 >> 11) * 2.0 ** -53
+
+
 def random_state(n_modes: int, seed: int, decay: float = 3.0,
                  r_h1: float = 1.0) -> np.ndarray:
     """Random-phase data with |u_hat(n)| = (1+|n|)^(-decay) on |n| <= N/4,
     rescaled to the requested first-order Sobolev norm.  The draw order is
-    fixed (n ascending), so states are seed-reproducible.  A spectrum or
-    norm out of the floating-point range raises BlowupError."""
+    fixed (n ascending), so states are seed-reproducible: the phases are
+    np.random.default_rng(seed)'s draws, PCG64 seeded by SeedSequence.  A
+    spectrum or norm out of the floating-point range raises BlowupError."""
     _check_modes(n_modes)
-    rng = np.random.default_rng(seed)
+    draws = _uniforms(seed)
     u = np.zeros(n_modes, dtype=complex)
     quarter = n_modes // 4
     try:
         for n in range(-quarter, quarter + 1):
-            u[n % n_modes] = (1 + abs(n)) ** (-decay) * np.exp(2j * np.pi * rng.random())
+            u[n % n_modes] = (1 + abs(n)) ** (-decay) * np.exp(2j * np.pi * next(draws))
         with np.errstate(over="raise"):
             norm = sobolev_norm(u, 1)
     except (OverflowError, FloatingPointError):

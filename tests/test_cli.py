@@ -469,11 +469,11 @@ def test_infeasible_system_reports_message_and_residual(monkeypatch, tmp_path, a
 _ANNOUNCED_SIMULATE = """
 import sys
 from nlsenergy import cli, harness
-initial_state = harness.initial_state
-def announced(config):
+trajectory = harness._trajectory
+def announced(config, u_hat):
     print("stepping", flush=True)
-    return initial_state(config)
-harness.initial_state = announced
+    return trajectory(config, u_hat)
+harness._trajectory = announced
 cli.main(["simulate", "--k", "2", "--t-end", "1000", "--out", sys.argv[1]])
 """
 

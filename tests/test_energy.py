@@ -520,6 +520,17 @@ def _infinite_cubic(doc):
     doc["cubic_coeff"] = float("inf")
 
 
+# a decimal exponent: Fraction alone would spend seconds building an int
+# of ten million digits before any check could refuse the text
+
+def _exponent_coefficient(doc):
+    doc["coefficients"]["mixed_u[1]"] = "1e10000000"
+
+
+def _exponent_cubic(doc):
+    doc["cubic_coeff"] = "1e10000000"
+
+
 # the next two leave each density equal, but its text is no longer the
 # canonical text of the recomputation
 
@@ -572,13 +583,26 @@ def _version_as_float(doc):
     _other_p, _zero_denominator, _infinite_cubic, _reorder_exact_derivative,
     _unreduced_quartic_coefficient, _reorder_correction, _unreduced_coefficient,
     _coefficient_as_number, _unreduced_cubic, _extra_key, _version_as_float,
-    _huge_p, _huge_k, _k_past_the_bound,
+    _huge_p, _huge_k, _k_past_the_bound, _exponent_coefficient, _exponent_cubic,
 ])
 def test_import_rejects_tampered_documents(mutate):
     doc = export_energy(solve_energy(3, 2))
     mutate(doc)
     with pytest.raises(EnergyDocumentError):
         import_energy(doc)
+
+
+@pytest.mark.parametrize("mutate", [_exponent_coefficient, _exponent_cubic])
+def test_import_refuses_an_exponent_before_reading_it(mutate, monkeypatch):
+    # the text is refused by its form, before Fraction parses it
+    doc = export_energy(solve_energy(3, 2))
+    mutate(doc)
+    parsed = []
+    monkeypatch.setattr(energy_module, "Fraction",
+                        lambda *args: parsed.append(args) or Fraction(*args))
+    with pytest.raises(EnergyDocumentError, match="not a fraction n or n/d: '1e10000000'"):
+        import_energy(doc)
+    assert ("1e10000000",) not in parsed
 
 
 # JSON-like values: ints far past any bound, a number no float holds,

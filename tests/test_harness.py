@@ -358,6 +358,32 @@ def test_a_failing_record_ends_the_run_at_once(start):
         "non-finite functional values; reduce dt or the data size", "0"]
 
 
+def test_a_run_whose_initial_state_fails_starts_no_stepper(monkeypatch):
+    # the run's own process draws the initial state before any fork
+    started = []
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda process: started.append(process))
+    with pytest.raises(BlowupError, match="non-finite random spectrum"):
+        run_experiment(_small_config(decay=-1000), solve_energy(2, 2))
+    assert started == []
+
+
+def test_no_run_imports_numpy_random():
+    # the initial state's draw is numpy's default stream without
+    # numpy.random, which would add about 8 ms to a run's start
+    done = _python("import multiprocessing, sys\n"
+                   "from nlsenergy import RunConfig, run_experiment, solve_energy\n"
+                   "config = RunConfig(k=2, n_modes=16, t_end=0.01, record_dt=5e-3)\n"
+                   "energy = solve_energy(2, 2)\n"
+                   "forked = run_experiment(config, energy)\n"
+                   "multiprocessing.get_all_start_methods = lambda: ['spawn']\n"
+                   "in_process = run_experiment(config, energy)\n"
+                   "print(len(forked), in_process == forked, 'numpy.random' in sys.modules)\n",
+                   timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["3", "True", "False"]
+
+
 def test_a_worker_that_dies_ends_the_run(monkeypatch):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork is unavailable here")

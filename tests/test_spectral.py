@@ -1,5 +1,6 @@
 """Split-step solver against exact solutions; quadrature conventions."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,9 @@ from nlsenergy.energy import (build_catalogue, hamiltonian_density,
                               quadratic_density, solve_energy)
 from nlsenergy.rational import GaussianRational
 from nlsenergy.spectral import (BlowupError, DensityPlan, SolverConfig,
-                                _pocketfft, evolve, l2_norm, plane_wave,
-                                random_state, sobolev_norm, wavenumbers)
+                                _pocketfft, _uniforms, evolve, l2_norm,
+                                plane_wave, random_state, sobolev_norm,
+                                wavenumbers)
 
 
 def _plan_value(u_hat: np.ndarray, density: Density):
@@ -231,6 +233,41 @@ def test_random_state_is_reproducible():
     assert np.all(a[np.abs(n) > 8] == 0)
 
 
+def test_the_draw_is_numpys_default_stream():
+    # random_state draws without numpy.random: its stream must be
+    # np.random.default_rng's, PCG64 seeded by SeedSequence, bit for bit,
+    # for seeds of one 32-bit word and of two, three and five
+    for seed in (*range(1000), 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 130 + 99):
+        want = np.random.default_rng(seed).random(65).tolist()
+        assert list(itertools.islice(_uniforms(seed), 65)) == want, seed
+
+
+def _numpy_random_state(n_modes, seed, decay, r_h1):
+    """random_state as written with np.random.default_rng."""
+    rng = np.random.default_rng(seed)
+    u = np.zeros(n_modes, dtype=complex)
+    quarter = n_modes // 4
+    for n in range(-quarter, quarter + 1):
+        u[n % n_modes] = (1 + abs(n)) ** (-decay) * np.exp(2j * np.pi * rng.random())
+    return u * (r_h1 / sobolev_norm(u, 1))
+
+
+@pytest.mark.parametrize("n_modes", [8, 64, 256])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 7])
+@pytest.mark.parametrize("decay,r_h1", [(3.0, 1.0), (0.5, 2.5), (-2.0, 1e-3)])
+def test_random_state_is_the_numpy_built_state(n_modes, seed, decay, r_h1):
+    assert np.array_equal(random_state(n_modes, seed, decay, r_h1),
+                          _numpy_random_state(n_modes, seed, decay, r_h1))
+
+
+def test_the_draw_refuses_what_default_rng_refuses():
+    for seed, error in ((-1, ValueError), (1.5, TypeError), ("3", TypeError)):
+        with pytest.raises(error):
+            np.random.default_rng(seed)
+        with pytest.raises(error):
+            random_state(16, seed)
+
+
 def _full_band_state(n_modes, seed):
     """Random-phase data with |u_hat(n)| = (1+|n|)^-3 on every retained
     mode, the Nyquist mode -N/2 included, at unit first-order norm;
@@ -259,6 +296,42 @@ def test_evolve_matches_the_naive_stepper(n_modes, p, band, dt):
         want = _naive_evolve(u, config, n_steps)
         got = evolve(u, config, n_steps)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _plain_evolve(u_hat, config, n_steps):
+    """The kernel's arithmetic in its order, as a plain loop of numpy
+    calls: the masked linear phase, the inverse FFT with norm="forward",
+    |g|^2 from the squared parts, the angle -dt |g|^2 times |g|^2 p-1
+    times, the rotation from its cosine and sine, the forward FFT."""
+    m = (config.p + 1) * config.n_modes
+    n = wavenumbers(config.n_modes)
+    slots = n % m
+    n = n.astype(float)
+    half = np.exp(-1j * n * n * (0.5 * config.dt))
+    full = np.zeros(m, dtype=complex)
+    full[slots] = np.exp(-1j * n * n * config.dt) / m
+    spec = np.zeros(m, dtype=complex)
+    spec[slots] = u_hat * half
+    for i in range(n_steps):
+        if i:
+            spec = spec * full
+        g = np.fft.ifft(spec, norm="forward")
+        mag2 = g.real * g.real + g.imag * g.imag
+        angle = mag2 * -config.dt
+        for _ in range(config.p - 1):
+            angle = angle * mag2
+        rot = np.empty(m, dtype=complex)
+        rot.real, rot.imag = np.cos(angle), np.sin(angle)
+        spec = np.fft.fft(g * rot)
+    return spec[slots] * (half / m)
+
+
+@pytest.mark.parametrize("n_modes,p", [(64, 2), (64, 3), (256, 3)])
+def test_evolve_is_the_plain_loop_bit_for_bit(n_modes, p):
+    config = SolverConfig(n_modes=n_modes, dt=1e-3, p=p)
+    u = random_state(n_modes, seed=17)
+    for n_steps in (1, 250):
+        assert np.array_equal(evolve(u, config, n_steps), _plain_evolve(u, config, n_steps))
 
 
 def test_evolve_leaves_its_input_alone_and_repeats_exactly():

@@ -35,9 +35,8 @@ import numpy as np
 from . import __version__
 from .energy import (EnergyDefinition, _check_kp, cubic_density, energy_hash,
                      hamiltonian_density)
-from .spectral import (DensityPlan, DensityValue, SolverConfig, _check_mode,
-                       _check_modes, evolve, l2_norm, plane_wave, random_state,
-                       sobolev_norm)
+from .spectral import (DensityPlan, SolverConfig, _check_mode, _check_modes, evolve,
+                       l2_norm, plane_wave, random_state, sobolev_norm)
 
 CSV_COLUMNS = ("t", "l2", "h1", "hk", "hamiltonian", "E_k", "F_k",
                "dEk_fd", "dEk_exact", "cubic_remainder", "bound_ratio")
@@ -104,8 +103,11 @@ class RunConfig:
         if max(self.t_end / self.dt, self.record_dt / self.dt) > MAX_STEPS:
             raise ValueError("the step counts t_end / dt and record_dt / dt must be "
                              f"at most {MAX_STEPS}")
-        if self.fd_delta <= 0:
-            raise ValueError(f"fd_delta must be positive, got {self.fd_delta!r}")
+        # the finite-difference legs' step, 0 for a tiny fd_delta
+        step = self.fd_delta / self.fd_substeps
+        if step <= 0:
+            raise ValueError("fd_delta / fd_substeps must be positive, got "
+                             f"{self.fd_delta!r} / {self.fd_substeps} = {step!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -124,11 +126,10 @@ def initial_state(config: RunConfig) -> np.ndarray:
 
 # the functionals a record evaluates at its state, in the order of the
 # record plan; "cubic" is there only when the energy has a cubic term.
-# "image" is the power image of F, a summand of both dE_k/dt forms, which
-# the plan evaluates along the flow from F's terms: "exact" and
-# "decomposition" are the rest of each
-_RECORD_FUNCTIONALS = ("exact", "decomposition", "E_k", "F_k", "hamiltonian",
-                       "image", "cubic")
+# "exact" and "decomposition" are the two forms of dE_k/dt, each the sum
+# of its written-out rest and the power image of F, which the plan
+# evaluates along the flow from F's terms
+_RECORD_FUNCTIONALS = ("exact", "decomposition", "E_k", "F_k", "hamiltonian", "cubic")
 
 
 class RunPlans(NamedTuple):
@@ -143,9 +144,9 @@ class RunPlans(NamedTuple):
 def compile_plans(energy: EnergyDefinition, n_modes: int) -> RunPlans:
     """The plans of `energy` for states of n_modes modes.  No expanded
     power image enters them."""
-    e_k = energy.energy_density()
-    densities = (energy.derivative_rest, energy.dispersive_residual(), e_k,
-                 energy.correction, hamiltonian_density(energy.p), energy.power_image)
+    e_k, image = energy.energy_density(), energy.power_image
+    densities = ((energy.derivative_rest, image), (energy.dispersive_residual(), image),
+                 e_k, energy.correction, hamiltonian_density(energy.p))
     if energy.cubic_coefficient:
         densities += (cubic_density(energy.k, energy.p),)
     return RunPlans(DensityPlan(densities, n_modes), DensityPlan((e_k,), n_modes))
@@ -175,13 +176,7 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
     k = energy.k
     # the record first: a state out of the floating-point range ends there,
     # before the norms overflow with a warning
-    values = dict(zip(_RECORD_FUNCTIONALS, plans.record.evaluate(u_hat)))
-    image = values.pop("image")
-    for name in ("exact", "decomposition"):
-        # the image's terms count in the scale its residue is measured against
-        values[name] = DensityValue(values[name] + image,
-                                    values[name].term_scale + image.term_scale)
-    record = {name: value.real_value() for name, value in values.items()}
+    record = dict(zip(_RECORD_FUNCTIONALS, plans.record.evaluate_real(u_hat)))
     hk = sobolev_norm(u_hat, k)
     f_val = record["F_k"]
     # growth-bound exponent 2(k-2)/(k-1); degenerates to 0 at k=2 so the

@@ -19,8 +19,9 @@ wrappers run.
 Density functionals are evaluated by exact quadrature.  A
 :class:`DensityPlan` compiles a tuple of densities: it groups the distinct
 monomials of all of them by factor count q, evaluates each distinct
-monomial once per state, and keeps one row of coefficients per density,
-so each density gets its own value and term scale.  A group evaluates
+monomial once per state, and keeps one row of coefficients per
+functional, so each gets its own value and term scale; a functional
+given as a tuple is the sum of its parts.  A group evaluates
 all of its distinct derivative grids with one batched inverse FFT on the
 grid of n_modes*(q//2+1) points, at least the q*n_modes/2 + 1 that make
 the quadrature exact for the product's bandwidth, then gathers,
@@ -449,39 +450,40 @@ class DensityPlan:
     """A tuple of functionals compiled for repeated numerical evaluation
     at states of n_modes modes.
 
-    A functional is a Density, or a PowerImage: the derivative of its
+    A functional is a Density, a PowerImage (the derivative of its
     density's integral along the power field, evaluated from the
-    density's own terms without expanding the image.  The distinct
-    monomials of all the densities are grouped by factor count, except
-    pair monomials (signature (1, 1, .)), which take the per-mode symbol
-    path; the rows of the power images are grouped by factor count and
-    exponent.  Each distinct monomial or row is evaluated once per state,
-    and each functional keeps its own row of coefficients.
+    density's own terms without expanding the image), or a tuple of
+    them: their sum.  The distinct monomials of all the densities are
+    grouped by factor count, except pair monomials (signature (1, 1,
+    .)), which take the per-mode symbol path; the rows of the power
+    images are grouped by factor count and exponent.  Each distinct
+    monomial or row is evaluated once per state, and each functional
+    keeps one row of coefficients over all of its parts' columns.
     """
 
-    def __init__(self, densities: tuple[Density | PowerImage, ...], n_modes: int):
+    def __init__(self, functionals: tuple[Density | PowerImage | tuple, ...], n_modes: int):
         _check_modes(n_modes)
         self.n_modes = n_modes
-        self.size = len(densities)
-        self.is_real_valued = all(d.is_real_valued for d in densities)
+        self.size = len(functionals)
+        parts = [f if isinstance(f, tuple) else (f,) for f in functionals]
+        distinct = {id(d): d for f in parts for d in f}.values()
+        self.is_real_valued = all(d.is_real_valued for d in distinct)
         # every density lists its terms in the one canonical order, so the
         # union in that order keeps each density's order of summation; the
         # rows of power images follow, in the order their terms give
-        monomials = sorted({m for d in densities if isinstance(d, Density)
+        monomials = sorted({m for d in distinct if isinstance(d, Density)
                             for m in d.monomials()}, key=Monomial.sort_key, reverse=True)
-        # a column per distinct monomial, then per distinct (p, row) of an
-        # image; the few image rows are listed before the matrix is sized
         column: dict = {m: j for j, m in enumerate(monomials)}
-        images = {i: [((d.p, row), complex(c)) for row, c in _image_rows(d)]
-                  for i, d in enumerate(densities) if isinstance(d, PowerImage)}
+        images = {id(d): [((d.p, row), complex(c)) for row, c in _image_rows(d)]
+                  for d in distinct if isinstance(d, PowerImage)}
         for rows in images.values():
             for key, _ in rows:
                 column.setdefault(key, len(column))
         coeffs = np.zeros((self.size, len(column)), dtype=complex)
-        for i, d in enumerate(densities):
-            terms = images[i] if i in images else d.terms()
-            for key, c in terms:
-                coeffs[i, column[key]] += complex(c)
+        for i, f in enumerate(parts):
+            for d in f:
+                for key, c in images[id(d)] if id(d) in images else d.terms():
+                    coeffs[i, column[key]] += complex(c)
         # per group: its columns, and its rows, each a Monomial or an image row
         by_shape: dict[tuple[int, int], tuple[list[int], list]] = {}
         pairs: list[tuple[Monomial, int]] = []
@@ -517,7 +519,7 @@ class DensityPlan:
             self.pair_symbol, self.pair_magnitude = symbol, magnitude
 
     def evaluate(self, u_hat: np.ndarray) -> tuple[DensityValue, ...]:
-        """The value of every density at one state, in the plan's order.
+        """The value of every functional at one state, in the plan's order.
 
         Raises ValueError for a state of another shape than the plan's
         grid, and BlowupError if a value or its term scale is not finite.
@@ -528,15 +530,17 @@ class DensityPlan:
         value = np.zeros(self.size, dtype=complex)
         scale = np.zeros(self.size)
         # overflow here surfaces as a BlowupError at the finiteness check
+        # pairs first, so that a density of one factor group plus an image
+        # sums to exactly the density's value plus the image's
         with np.errstate(over="ignore", invalid="ignore"):
-            for group in self.groups:
-                terms = group.terms(u_hat)
-                value += terms.sum(axis=1)
-                scale += np.abs(terms).sum(axis=1)
             if self.pair_symbol is not None:
                 power = np.abs(u_hat) ** 2
                 value += 2 * np.pi * np.sum(self.pair_symbol * power, axis=1)
                 scale += 2 * np.pi * np.sum(self.pair_magnitude * power, axis=1)
+            for group in self.groups:
+                terms = group.terms(u_hat)
+                value += terms.sum(axis=1)
+                scale += np.abs(terms).sum(axis=1)
         if not (np.all(np.isfinite(value)) and np.all(np.isfinite(scale))):
             raise BlowupError("non-finite functional values; reduce dt or the data size")
         return tuple(DensityValue(v, s) for v, s in zip(value, scale))

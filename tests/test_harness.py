@@ -77,6 +77,8 @@ def test_run_config_validation():
     {"t_end": 1e300, "dt": 1e-5}, {"record_dt": 2e6, "t_end": 2e6},
     {"t_end": harness.MAX_STEPS + 1, "dt": 1, "record_dt": 1},
     {"fd_substeps": harness.MAX_STEPS + 1},
+    # a substep fd_delta / fd_substeps that underflows to 0
+    {"fd_delta": 5e-324},
 ])
 def test_run_config_rejects_what_no_run_can_use(overrides):
     with pytest.raises(ValueError):
@@ -226,9 +228,10 @@ def test_a_run_compiles_one_record_plan_and_one_energy_plan(monkeypatch):
     energy = import_energy(export_energy(solve_energy(3, 2)))
     assert energy.cubic_coefficient
     config = _small_config(k=3, t_end=1e-2, record_dt=2e-3)
-    # the rest of each form of dE_k/dt and the power image of F, unexpanded
-    want = (energy.derivative_rest, energy.dispersive_residual(), energy.energy_density(),
-            energy.correction, hamiltonian_density(2), PowerImage(energy.correction, 2),
+    # each form of dE_k/dt as its rest plus the power image of F, unexpanded
+    image = PowerImage(energy.correction, 2)
+    want = ((energy.derivative_rest, image), (energy.dispersive_residual(), image),
+            energy.energy_density(), energy.correction, hamiltonian_density(2),
             cubic_density(3, 2))
     # with the start methods of this platform, then as where fork is unavailable
     for methods in (multiprocessing.get_all_start_methods(), ["spawn"]):
@@ -438,6 +441,31 @@ def test_a_record_equals_separate_evaluations():
     assert weight
     assert abs(row["cubic_remainder"] - weight * cubic.real) <= \
         1e-12 * abs(weight) * cubic.term_scale
+
+
+@pytest.mark.parametrize("k", [6, 3])
+def test_a_record_derivative_is_its_rest_plus_the_image(k):
+    # the record equals, bit for bit, a plan that evaluates the power image
+    # of F as a functional of its own, added to each rest afterwards
+    energy = solve_energy(k, 2)
+    assert energy.cubic_coefficient
+    config = RunConfig(k=k, n_modes=64, record_dt=0.25, decay=3.0, r_h1=1.0)
+    plans = compile_plans(energy, config.n_modes)
+    separate = DensityPlan((energy.derivative_rest, energy.dispersive_residual(),
+                            energy.energy_density(), energy.correction,
+                            hamiltonian_density(2), energy.power_image, cubic_density(k, 2)),
+                           config.n_modes)
+    scfg = SolverConfig(n_modes=config.n_modes, dt=config.dt, p=2)
+    for seed in range(3):
+        u = initial_state(dataclasses.replace(config, seed=seed))
+        # the states at t = 0, 0.5 and 1
+        for _ in range(3):
+            row = observe(u, 0.0, energy, config, plans)
+            exact, decomposition, *_, image, _ = separate.evaluate(u)
+            for column, rest in (("dEk_exact", exact), ("dEk_decomposition", decomposition)):
+                want = spectral.DensityValue(rest + image, rest.term_scale + image.term_scale)
+                assert row[column] == want.real_value()
+            u = evolve(u, scfg, 500)
 
 
 @pytest.mark.parametrize("k,p", [(5, 3), (12, 4)])

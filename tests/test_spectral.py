@@ -545,6 +545,19 @@ def test_a_power_image_along_the_flow_equals_the_expanded_image(case, u_hat):
     assert alone.term_scale == single.term_scale
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_catalogue_combinations(), k=st.integers(2, 8), u_hat=_states())
+def test_a_tuple_functional_is_the_sum_of_its_parts(case, k, u_hat):
+    # a density of pair monomials and one factor group, plus a power image
+    p, density = case
+    rest, image = quadratic_density(k) + density, PowerImage(density, p)
+    got = DensityPlan(((rest, image),), len(u_hat)).evaluate(u_hat)[0]
+    parts = _plan_value(u_hat, rest), DensityPlan((image,), len(u_hat)).evaluate(u_hat)[0]
+    scale = sum(part.term_scale for part in parts)
+    assert abs(got - sum(parts)) <= 1e-12 * scale
+    assert abs(got.term_scale - scale) <= 1e-12 * scale
+
+
 @st.composite
 def _few_factor_monomials(draw):
     """Monomials of one to four factors: below the catalogue's 2p+2, so

@@ -35,8 +35,8 @@ import numpy as np
 from . import __version__
 from .energy import (EnergyDefinition, _check_kp, cubic_density, energy_hash,
                      hamiltonian_density)
-from .spectral import (DensityPlan, SolverConfig, _check_mode, _check_modes, evolve,
-                       l2_norm, plane_wave, random_state, sobolev_norm)
+from .spectral import (DensityPlan, SolverConfig, _check_mode, _check_modes, _check_phase,
+                       evolve, l2_norm, plane_wave, random_state, sobolev_norm)
 
 CSV_COLUMNS = ("t", "l2", "h1", "hk", "hamiltonian", "E_k", "F_k",
                "dEk_fd", "dEk_exact", "cubic_remainder", "bound_ratio")
@@ -99,6 +99,7 @@ class RunConfig:
             _check_mode(self.mode, self.n_modes)
         if self.t_end <= 0 or self.dt <= 0 or self.record_dt <= 0:
             raise ValueError("t_end, dt and record_dt must be positive")
+        _check_phase(self.n_modes, self.dt)
         # a quotient too large for a float is inf, which the bound refuses too
         if max(self.t_end / self.dt, self.record_dt / self.dt) > MAX_STEPS:
             raise ValueError("the step counts t_end / dt and record_dt / dt must be "
@@ -108,6 +109,7 @@ class RunConfig:
         if step <= 0:
             raise ValueError("fd_delta / fd_substeps must be positive, got "
                              f"{self.fd_delta!r} / {self.fd_substeps} = {step!r}")
+        _check_phase(self.n_modes, step, "fd_delta / fd_substeps")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -124,32 +126,32 @@ def initial_state(config: RunConfig) -> np.ndarray:
     return random_state(config.n_modes, config.seed, config.decay, config.r_h1)
 
 
-# the functionals a record evaluates at its state, in the order of the
-# record plan; "cubic" is there only when the energy has a cubic term.
-# "exact" and "decomposition" are the two forms of dE_k/dt, each the sum
-# of its written-out rest and the power image of F, which the plan
-# evaluates along the flow from F's terms
-_RECORD_FUNCTIONALS = ("exact", "decomposition", "E_k", "F_k", "hamiltonian", "cubic")
-
-
 class RunPlans(NamedTuple):
     """The plans a run compiles once and evaluates at every record: one
-    over every functional of a record, and one of E_k alone for the
-    finite-difference legs."""
+    over every functional of a record, with the row key of each, and one
+    of E_k alone for the finite-difference legs."""
 
     record: DensityPlan
+    names: tuple[str, ...]
     energy: DensityPlan
 
 
 def compile_plans(energy: EnergyDefinition, n_modes: int) -> RunPlans:
-    """The plans of `energy` for states of n_modes modes.  No expanded
-    power image enters them."""
+    """The plans of `energy` for states of n_modes modes.  The record's
+    functionals are listed once, by row key: the two forms of dE_k/dt,
+    each its written-out rest plus the power image of F, which the plan
+    evaluates along the flow from F's terms, so no expanded image enters
+    them; E_k, F and H; and the cubic density, only where the energy
+    weights it."""
     e_k, image = energy.energy_density(), energy.power_image
-    densities = ((energy.derivative_rest, image), (energy.dispersive_residual(), image),
-                 e_k, energy.correction, hamiltonian_density(energy.p))
+    functionals = {"dEk_exact": (energy.derivative_rest, image),
+                   "dEk_decomposition": (energy.dispersive_residual(), image),
+                   "E_k": e_k, "F_k": energy.correction,
+                   "hamiltonian": hamiltonian_density(energy.p)}
     if energy.cubic_coefficient:
-        densities += (cubic_density(energy.k, energy.p),)
-    return RunPlans(DensityPlan(densities, n_modes), DensityPlan((e_k,), n_modes))
+        functionals["cubic"] = cubic_density(energy.k, energy.p)
+    return RunPlans(DensityPlan(tuple(functionals.values()), n_modes), tuple(functionals),
+                    DensityPlan((e_k,), n_modes))
 
 
 def _fd_derivative(u_hat: np.ndarray, energy_plan: DensityPlan, p: int,
@@ -176,28 +178,18 @@ def observe(u_hat: np.ndarray, t: float, energy: EnergyDefinition,
     k = energy.k
     # the record first: a state out of the floating-point range ends there,
     # before the norms overflow with a warning
-    record = dict(zip(_RECORD_FUNCTIONALS, plans.record.evaluate_real(u_hat)))
+    row = dict(zip(plans.names, plans.record.evaluate_real(u_hat)))
     hk = sobolev_norm(u_hat, k)
-    f_val = record["F_k"]
     # growth-bound exponent 2(k-2)/(k-1); degenerates to 0 at k=2 so the
     # monitored quantity is then just |F| itself.  hk vanishes only at u = 0,
     # where F does too, and the ratio is taken as 0 there
     exponent = (2 * k - 4) / (k - 1)
-    row = {
-        "t": float(t),
-        "l2": l2_norm(u_hat),
-        "h1": sobolev_norm(u_hat, 1),
-        "hk": hk,
-        "hamiltonian": record["hamiltonian"],
-        "E_k": record["E_k"],
-        "F_k": f_val,
-        "dEk_fd": _fd_derivative(u_hat, plans.energy, energy.p, config.fd_delta,
-                                 config.fd_substeps),
-        "dEk_exact": record["exact"],
-        "cubic_remainder": float(energy.cubic_coefficient) * record.get("cubic", 0.0),
-        "bound_ratio": abs(f_val) / hk ** exponent if hk else 0.0,
-        "dEk_decomposition": record["decomposition"],
-    }
+    row.update(
+        t=float(t), l2=l2_norm(u_hat), h1=sobolev_norm(u_hat, 1), hk=hk,
+        dEk_fd=_fd_derivative(u_hat, plans.energy, energy.p, config.fd_delta,
+                              config.fd_substeps),
+        cubic_remainder=float(energy.cubic_coefficient) * row.pop("cubic", 0.0),
+        bound_ratio=abs(row["F_k"]) / hk ** exponent if hk else 0.0)
     exact = row["dEk_exact"]
     for key, value in (("fd_rel_error", row["dEk_fd"]),
                        ("decomposition_rel_error", row["dEk_decomposition"])):

@@ -80,6 +80,14 @@ def _check_modes(n_modes: int):
         raise ValueError(f"n_modes must be a power of two from 8 to 2**20, got {n_modes}")
 
 
+def _check_phase(n_modes: int, step: float, name: str = "dt"):
+    # the linear phase n^2 step of a retained mode, |n| <= n_modes/2, is
+    # a finite float, or exp of it warns and the step yields nan
+    if not np.isfinite((n_modes // 2) ** 2 * abs(float(step))):
+        raise ValueError(f"{name} = {step!r} is too large for n_modes={n_modes}: the "
+                         f"linear phase (n_modes/2)^2 * |{name}| is not a finite float")
+
+
 def wavenumbers(n_modes: int) -> np.ndarray:
     """Integer frequencies in FFT layout."""
     return np.fft.fftfreq(n_modes, 1.0 / n_modes).astype(np.int64)
@@ -99,6 +107,7 @@ class SolverConfig:
         _check_modes(self.n_modes)
         if not np.isfinite(self.dt) or self.dt == 0:
             raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
+        _check_phase(self.n_modes, self.dt)
         _check_exponent(self.p)
 
 
@@ -287,28 +296,6 @@ def sobolev_norm(u_hat: np.ndarray, k: int) -> float:
 _CHUNK_VALUES = 1 << 14
 
 
-class DensityValue(complex):
-    """A functional's value together with the size of the terms summed for
-    it, sum |c_j v_j|: the scale its floating-point residue is relative to."""
-
-    __slots__ = ("term_scale",)
-
-    def __new__(cls, value: complex, term_scale: float):
-        self = super().__new__(cls, value)
-        self.term_scale = float(term_scale)
-        return self
-
-    def real_value(self) -> float:
-        """The value of a conjugation-fixed functional: its imaginary part
-        is pure floating-point residue, and must sit far below the size of
-        the terms summed for it."""
-        if abs(self.imag) > 1e-9 * max(1.0, self.term_scale):
-            raise ArithmeticError(
-                f"imaginary residue {self.imag:.3e} too large for real value "
-                f"{self.real:.3e} (terms of size {self.term_scale:.3e})")
-        return self.real
-
-
 def _image_rows(image: PowerImage):
     """(row, weight) pairs whose sum is the power image of `image.density`.
 
@@ -459,6 +446,8 @@ class DensityPlan:
     images are grouped by factor count and exponent.  Each distinct
     monomial or row is evaluated once per state, and each functional
     keeps one row of coefficients over all of its parts' columns.
+    `evaluate` returns the functionals' values and term scales as two
+    arrays in the plan's order.
     """
 
     def __init__(self, functionals: tuple[Density | PowerImage | tuple, ...], n_modes: int):
@@ -518,8 +507,10 @@ class DensityPlan:
                 magnitude = magnitude + np.abs(c)[:, None] * np.abs(n) ** (a + b)
             self.pair_symbol, self.pair_magnitude = symbol, magnitude
 
-    def evaluate(self, u_hat: np.ndarray) -> tuple[DensityValue, ...]:
-        """The value of every functional at one state, in the plan's order.
+    def evaluate(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values of every functional at one state, in the plan's
+        order, and the term scale of each, sum |c_j v_j|: the size of the
+        terms summed for it, which its floating-point residue is relative to.
 
         Raises ValueError for a state of another shape than the plan's
         grid, and BlowupError if a value or its term scale is not finite.
@@ -543,15 +534,21 @@ class DensityPlan:
                 scale += np.abs(terms).sum(axis=1)
         if not (np.all(np.isfinite(value)) and np.all(np.isfinite(scale))):
             raise BlowupError("non-finite functional values; reduce dt or the data size")
-        return tuple(DensityValue(v, s) for v, s in zip(value, scale))
+        return value, scale
 
     def evaluate_real(self, u_hat: np.ndarray) -> tuple[float, ...]:
-        """The values of conjugation-fixed functionals; the imaginary part
-        of each is pure floating-point residue and must sit far below the
-        size of the terms summed for that value."""
+        """The values of conjugation-fixed functionals.  The imaginary part
+        of each is pure floating-point residue, and must sit far below the
+        size of the terms summed for that value: ArithmeticError otherwise."""
         if not self.is_real_valued:
             raise ValueError("density is not conjugation-fixed; use evaluate")
-        return tuple(v.real_value() for v in self.evaluate(u_hat))
+        values, scales = self.evaluate(u_hat)
+        for value, scale in zip(values, scales):
+            if abs(value.imag) > 1e-9 * max(1.0, scale):
+                raise ArithmeticError(
+                    f"imaginary residue {value.imag:.3e} too large for real value "
+                    f"{value.real:.3e} (terms of size {scale:.3e})")
+        return tuple(values.real.tolist())
 
 
 def evaluate_real(u_hat: np.ndarray, density: Density) -> float:

@@ -79,6 +79,8 @@ def test_run_config_validation():
     {"fd_substeps": harness.MAX_STEPS + 1},
     # a substep fd_delta / fd_substeps that underflows to 0
     {"fd_delta": 5e-324},
+    # a step whose linear phase (n_modes/2)^2 * |step| overflows
+    {"fd_delta": 1e308}, {"dt": 1e307, "t_end": 1e307, "record_dt": 1e307},
 ])
 def test_run_config_rejects_what_no_run_can_use(overrides):
     with pytest.raises(ValueError):
@@ -90,6 +92,12 @@ def test_run_config_rejects_what_no_run_can_use(overrides):
     ({"decay": "3"}, "decay must be a finite number, got '3'"),
     ({"t_end": 1e300, "dt": 1e-5}, "the step counts t_end / dt and record_dt / dt must be "
                                    f"at most {harness.MAX_STEPS}"),
+    ({"fd_delta": 1e308}, "fd_delta / fd_substeps = 1e+307 is too large for n_modes=16: the "
+                          "linear phase (n_modes/2)^2 * |fd_delta / fd_substeps| is not a "
+                          "finite float"),
+    ({"dt": 1e307, "t_end": 1e307, "record_dt": 1e307},
+     "dt = 1e+307 is too large for n_modes=16: the linear phase (n_modes/2)^2 * |dt| is not "
+     "a finite float"),
 ])
 def test_run_config_names_the_field_it_refuses(overrides, message):
     with pytest.raises(ValueError) as info:
@@ -426,21 +434,41 @@ def test_a_record_equals_separate_evaluations():
     row = observe(u, 0.0, energy, config, compile_plans(energy, config.n_modes))
 
     def alone(density):
-        """The value of a one-density plan, apart from the record plan."""
-        return DensityPlan((density,), config.n_modes).evaluate(u)[0]
+        """The value and term scale of a one-density plan, apart from the
+        record plan."""
+        (value,), (scale,) = DensityPlan((density,), config.n_modes).evaluate(u)
+        return value, scale
 
     for column, density in (("E_k", energy.energy_density()),
                             ("F_k", energy.correction),
                             ("hamiltonian", hamiltonian_density(2)),
                             ("dEk_exact", energy.exact_derivative),
                             ("dEk_decomposition", energy.residual_density())):
-        value = alone(density)
-        assert abs(row[column] - value.real) <= 1e-12 * value.term_scale
+        value, scale = alone(density)
+        assert abs(row[column] - value.real) <= 1e-12 * scale
     weight = float(energy.cubic_coefficient)
-    cubic = alone(cubic_density(6, 2))
+    cubic, scale = alone(cubic_density(6, 2))
     assert weight
-    assert abs(row["cubic_remainder"] - weight * cubic.real) <= \
-        1e-12 * abs(weight) * cubic.term_scale
+    assert abs(row["cubic_remainder"] - weight * cubic.real) <= 1e-12 * abs(weight) * scale
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_the_record_names_each_functional_of_its_plan(k):
+    # (3,2) weights the cubic density, (4,2) does not
+    energy = solve_energy(k, 2)
+    config = _small_config(k=k)
+    plans = compile_plans(energy, config.n_modes)
+    functionals = ("dEk_exact", "dEk_decomposition", "E_k", "F_k", "hamiltonian")
+    assert plans.names == functionals + (("cubic",) if energy.cubic_coefficient else ())
+    assert plans.record.size == len(plans.names)
+    u = initial_state(config)
+    values = dict(zip(plans.names, plans.record.evaluate_real(u)))
+    row = observe(u, 0.0, energy, config, plans)
+    assert set(row) == set(CSV_COLUMNS) | {"dEk_decomposition", "fd_rel_error",
+                                           "decomposition_rel_error"}
+    for name in functionals:
+        assert row[name] == values[name]
+    assert row["cubic_remainder"] == float(energy.cubic_coefficient) * values.get("cubic", 0.0)
 
 
 @pytest.mark.parametrize("k", [6, 3])
@@ -461,10 +489,12 @@ def test_a_record_derivative_is_its_rest_plus_the_image(k):
         # the states at t = 0, 0.5 and 1
         for _ in range(3):
             row = observe(u, 0.0, energy, config, plans)
-            exact, decomposition, *_, image, _ = separate.evaluate(u)
-            for column, rest in (("dEk_exact", exact), ("dEk_decomposition", decomposition)):
-                want = spectral.DensityValue(rest + image, rest.term_scale + image.term_scale)
-                assert row[column] == want.real_value()
+            values, scales = separate.evaluate(u)
+            # the rests are the plan's first two functionals, the image its sixth
+            for column, i in (("dEk_exact", 0), ("dEk_decomposition", 1)):
+                want = values[i] + values[5]
+                assert abs(want.imag) <= 1e-9 * max(1.0, scales[i] + scales[5])
+                assert row[column] == want.real
             u = evolve(u, scfg, 500)
 
 
@@ -478,5 +508,5 @@ def test_the_record_derivatives_equal_the_expanded_oracle(k, p):
     row = observe(u, 0.0, energy, config, compile_plans(energy, config.n_modes))
     for column, density in (("dEk_exact", energy.exact_derivative),
                             ("dEk_decomposition", energy.residual_density())):
-        want = DensityPlan((density,), config.n_modes).evaluate(u)[0]
-        assert abs(row[column] - want.real) <= 1e-11 * want.term_scale
+        (want,), (scale,) = DensityPlan((density,), config.n_modes).evaluate(u)
+        assert abs(row[column] - want.real) <= 1e-11 * scale

@@ -20,8 +20,10 @@ from nlsenergy.spectral import (BlowupError, DensityPlan, SolverConfig,
 
 
 def _plan_value(u_hat: np.ndarray, density: Density):
-    """The value of `density` at one state, from a one-density plan."""
-    return DensityPlan((density,), len(u_hat)).evaluate(u_hat)[0]
+    """The value of `density` at one state and its term scale, from a
+    one-density plan."""
+    (value,), (scale,) = DensityPlan((density,), len(u_hat)).evaluate(u_hat)
+    return value, scale
 
 
 def plane_wave_solution(amplitude: complex, mode: int, p: int, t: float,
@@ -137,13 +139,13 @@ def test_momentum_survives_nonlinear_evolution():
 def test_total_derivatives_integrate_to_zero():
     u = random_state(16, seed=7)
     for g in ibp_generators((3, 3, 4))[:8]:
-        assert abs(_plan_value(u, g)) < 1e-9
+        assert abs(_plan_value(u, g)[0]) < 1e-9
 
 
 def test_pair_symbol_path_matches_grid_quadrature():
     u = random_state(16, seed=2)
     d = quadratic_density(3) + Density.monomial((2,), (2,)) * 5
-    fast = _plan_value(u, d)
+    fast, _ = _plan_value(u, d)
     slow, _ = _naive_density(u, d, grid_factor=2)
     assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
@@ -153,12 +155,11 @@ def test_mass_quadrature_matches_parseval():
     n = wavenumbers(16).astype(float)
     # grid_factor 2 is the exact grid of a two-factor product, so the
     # reference takes the grid quadrature, and the plan the symbol path
-    for evaluate in (_plan_value,
-                     lambda u, d: _naive_density(u, d, grid_factor=2)[0]):
-        mass = evaluate(u, Density.monomial((0,), (0,)))
+    for evaluate in (_plan_value, lambda u, d: _naive_density(u, d, grid_factor=2)):
+        mass, _ = evaluate(u, Density.monomial((0,), (0,)))
         assert mass.real == pytest.approx(l2_norm(u) ** 2, rel=1e-13)
         assert abs(mass.imag) < 1e-13
-        grad = evaluate(u, Density.monomial((1,), (1,)))
+        grad, _ = evaluate(u, Density.monomial((1,), (1,)))
         assert grad.real == pytest.approx(
             float(2 * np.pi * np.sum(n * n * np.abs(u) ** 2)), rel=1e-12)
 
@@ -213,6 +214,11 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n_modes=8, dt=1e-3, p=1)
     SolverConfig(n_modes=8, dt=-1e-3)      # backward steps are legitimate
+    # the linear phase (n_modes/2)^2 * |dt| of the retained modes overflows:
+    # refused before exp of it warns and the step ends in a BlowupError
+    with pytest.raises(ValueError, match="linear phase"):
+        evolve(plane_wave(0.5, 1, 16), SolverConfig(16, 1e307), 1)
+    SolverConfig(16, 1e306)
 
 
 def test_plane_wave_mode_bounds():
@@ -391,8 +397,8 @@ def test_a_plan_rejects_a_state_of_another_shape(shape):
         plan.evaluate(np.ones(shape, dtype=complex))
     u = random_state(64, seed=64)
     got, want = plan.evaluate(u), DensityPlan(densities, 64).evaluate(u)
-    assert [complex(v) for v in got] == [complex(v) for v in want]
-    assert [v.term_scale for v in got] == [v.term_scale for v in want]
+    for got_part, want_part in zip(got, want):
+        assert got_part.tolist() == want_part.tolist()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -410,7 +416,7 @@ def test_plan_matches_naive_evaluator_on_a_solved_energy():
     u = random_state(256, seed=15)
     density = solve_energy(6, 2).exact_derivative
     want, scale = _naive_density(u, density)
-    assert abs(_plan_value(u, density) - want) <= 1e-12 * scale
+    assert abs(_plan_value(u, density)[0] - want) <= 1e-12 * scale
 
 
 _fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -450,11 +456,11 @@ def _states(draw):
 @given(density=_densities, u_hat=_states())
 def test_plan_matches_naive_evaluator(density, u_hat):
     want, scale = _naive_density(u_hat, density)
-    got = _plan_value(u_hat, density)
+    got, got_scale = _plan_value(u_hat, density)
     assert abs(got - want) <= 1e-12 * scale
     # the term scale bounds the value and is bounded by the summed grid sizes
-    assert abs(got) <= got.term_scale * (1 + 1e-12)
-    assert got.term_scale <= scale * (1 + 1e-12)
+    assert abs(got) <= got_scale * (1 + 1e-12)
+    assert got_scale <= scale * (1 + 1e-12)
 
 
 @st.composite
@@ -471,23 +477,22 @@ def _density_tuples(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(densities=_density_tuples(), u_hat=_states())
 def test_plan_of_several_densities_matches_each_alone(densities, u_hat):
-    values = DensityPlan(densities, len(u_hat)).evaluate(u_hat)
-    assert len(values) == len(densities)
-    for density, got in zip(densities, values):
+    values, scales = DensityPlan(densities, len(u_hat)).evaluate(u_hat)
+    assert len(values) == len(scales) == len(densities)
+    for density, got, got_scale in zip(densities, values, scales):
         want, scale = _naive_density(u_hat, density)
         assert abs(got - want) <= 1e-12 * scale
-        assert got.term_scale == pytest.approx(
-            _plan_value(u_hat, density).term_scale, rel=1e-12, abs=0)
-        assert got.term_scale <= scale * (1 + 1e-12)
+        assert got_scale == pytest.approx(_plan_value(u_hat, density)[1], rel=1e-12, abs=0)
+        assert got_scale <= scale * (1 + 1e-12)
 
 
 def test_imaginary_residue_is_measured_against_the_term_scale():
     u = random_state(32, seed=8, r_h1=3.0)
     sextic = Density.monomial((0, 0, 0), (0, 0, 0))
     density = Density.monomial((1,), (1,)) + sextic * Fraction(1, 3)
-    scale = _plan_value(u, density).term_scale
+    scale = _plan_value(u, density)[1]
     assert scale > 1.0
-    sextic_value = _plan_value(u, sextic).real
+    sextic_value = _plan_value(u, sextic)[0].real
     # an imaginary part delta of the |u|^6 coefficient adds delta * sextic_value
     plan = DensityPlan((density,), 32)
     group = plan.groups[0]
@@ -505,14 +510,29 @@ def test_each_value_of_a_plan_is_checked_against_its_own_term_scale():
     sextic = Density.monomial((0, 0, 0), (0, 0, 0))
     large = Density.monomial((4,), (4,)) * 10 ** 6 + sextic
     plan = DensityPlan((large, sextic), 32)
-    large_scale, scale = (v.term_scale for v in plan.evaluate(u))
+    large_scale, scale = plan.evaluate(u)[1]
     assert large_scale > 1e6 * scale
     # a residue far below the large density's terms, far above the sextic's
-    plan.groups[0].coeffs[1, 0] = 1 + 1j * 1e-7 * scale / _plan_value(u, sextic).real
+    plan.groups[0].coeffs[1, 0] = 1 + 1j * 1e-7 * scale / _plan_value(u, sextic)[0].real
     with pytest.raises(ArithmeticError):
         plan.evaluate_real(u)
     with pytest.raises(ValueError):
         DensityPlan((large, Density.monomial((1,), (0,))), 32).evaluate_real(u)
+
+
+def test_the_residue_message_names_the_failing_functional_only():
+    u = random_state(32, seed=8, r_h1=3.0)
+    sextic = Density.monomial((0, 0, 0), (0, 0, 0))
+    plan = DensityPlan((sextic, sextic * 2, sextic * 3), 32)
+    plan.evaluate_real(u)
+    # one column: the imaginary part of the second functional's coefficient
+    plan.groups[0].coeffs[1, 0] = 2 + 1e-3j
+    values, scales = plan.evaluate(u)
+    with pytest.raises(ArithmeticError) as info:
+        plan.evaluate_real(u)
+    assert str(info.value) == (
+        f"imaginary residue {values[1].imag:.3e} too large for real value "
+        f"{values[1].real:.3e} (terms of size {scales[1]:.3e})")
 
 
 # -- power images along the flow ------------------------------------------------
@@ -533,16 +553,15 @@ def test_a_power_image_along_the_flow_equals_the_expanded_image(case, u_hat):
     # the expanded image is kept only as this oracle
     p, density = case
     n_modes = len(u_hat)
-    image, alone = DensityPlan((PowerImage(density, p), density), n_modes).evaluate(u_hat)
-    want = DensityPlan((dt_nonlinear(density, p),), n_modes).evaluate(u_hat)[0]
+    (image, alone), (image_scale, alone_scale) = DensityPlan(
+        (PowerImage(density, p), density), n_modes).evaluate(u_hat)
+    want, want_scale = _plan_value(u_hat, dt_nonlinear(density, p))
     # where the expanded terms cancel exactly their scale is 0, and the
     # flow's rows cancel only to rounding: the larger scale bounds both
-    assert abs(image - want) <= 1e-11 * max(want.term_scale, image.term_scale)
-    assert abs(image) <= image.term_scale * (1 + 1e-12)
+    assert abs(image - want) <= 1e-11 * max(want_scale, image_scale)
+    assert abs(image) <= image_scale * (1 + 1e-12)
     # a density that shares its plan with an image keeps its value
-    single = _plan_value(u_hat, density)
-    assert complex(alone) == complex(single)
-    assert alone.term_scale == single.term_scale
+    assert (alone, alone_scale) == _plan_value(u_hat, density)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -551,11 +570,12 @@ def test_a_tuple_functional_is_the_sum_of_its_parts(case, k, u_hat):
     # a density of pair monomials and one factor group, plus a power image
     p, density = case
     rest, image = quadratic_density(k) + density, PowerImage(density, p)
-    got = DensityPlan(((rest, image),), len(u_hat)).evaluate(u_hat)[0]
-    parts = _plan_value(u_hat, rest), DensityPlan((image,), len(u_hat)).evaluate(u_hat)[0]
-    scale = sum(part.term_scale for part in parts)
-    assert abs(got - sum(parts)) <= 1e-12 * scale
-    assert abs(got.term_scale - scale) <= 1e-12 * scale
+    (got,), (got_scale,) = DensityPlan(((rest, image),), len(u_hat)).evaluate(u_hat)
+    (rest_value, rest_scale), (image_value, image_scale) = (
+        _plan_value(u_hat, rest), _plan_value(u_hat, image))
+    scale = rest_scale + image_scale
+    assert abs(got - (rest_value + image_value)) <= 1e-12 * scale
+    assert abs(got_scale - scale) <= 1e-12 * scale
 
 
 @st.composite
@@ -574,7 +594,7 @@ def _few_factor_monomials(draw):
                         min_size=1, max_size=4).map(_density),
        p=st.integers(2, 3), u_hat=_states())
 def test_the_power_image_of_any_density_equals_the_expanded_image(density, p, u_hat):
-    got = DensityPlan((PowerImage(density, p),), len(u_hat)).evaluate(u_hat)[0]
+    got, _ = _plan_value(u_hat, PowerImage(density, p))
     want, scale = _naive_density(u_hat, dt_nonlinear(density, p))
     assert abs(got - want) <= 1e-11 * scale
 

@@ -8,7 +8,6 @@ verification, tolerance violations or a run aborted on non-finite values.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from click.core import ParameterSource
 
 from .algebra import density_to_text
 from .energy import (EnergyDocumentError, InfeasibleSystemError, _check_kp,
-                     import_energy, save_energy, solve_energy,
+                     _read_document, import_energy, save_energy, solve_energy,
                      verify_exact_conservation, verify_identities)
 from .harness import (DECOMPOSITION_TOLERANCE, FD_TOLERANCE, RunConfig,
                       compile_plans, initial_state, max_bound_ratio, observe,
@@ -82,10 +81,8 @@ def _build_config(ctx, config_path, **flags) -> RunConfig:
     data = {}
     if config_path:
         try:
-            data = json.loads(Path(config_path).read_text())
-        # json.JSONDecodeError, UnicodeDecodeError and an int literal past
-        # Python's digit limit are ValueErrors
-        except (OSError, ValueError) as exc:
+            data = _read_document(config_path)
+        except ValueError as exc:
             raise click.UsageError(f"cannot read config document: {exc}")
         if not isinstance(data, dict):
             raise click.UsageError("config document must be a JSON object")
@@ -107,8 +104,8 @@ def _load_energy(config: RunConfig, energy_path):
     if not energy_path:
         return _solve_or_exit(config.k, config.p)
     try:
-        doc = json.loads(Path(energy_path).read_text())
-    except (OSError, ValueError):
+        doc = _read_document(energy_path)
+    except ValueError:
         doc = None
     if isinstance(doc, dict):
         k, p = doc.get("k"), doc.get("p")
@@ -129,7 +126,10 @@ def _load_energy(config: RunConfig, energy_path):
 
 
 def _check_out(out):
-    """Fail before any solve or step if `out` has no folder to be written in."""
+    """Fail before any solve or step if `out` is empty or has no folder to be
+    written in."""
+    if not out:
+        raise click.ClickException("cannot write an empty --out path")
     folder = Path(out).parent
     if not folder.is_dir() or not os.access(folder, os.W_OK):
         raise click.ClickException(f"cannot write {out}: {folder} is not a writable folder")
@@ -172,14 +172,14 @@ def _solve_or_exit(k: int, p: int):
 def build(k, p, out):
     """Solve the cancellation system and print the correction table."""
     _require_kp(k, p)
-    if out:
+    if out is not None:
         _check_out(out)
     energy = _solve_or_exit(k, p)
     width = max(len(name) for name in energy.coefficients)
     for name, value in energy.coefficients.items():
         click.echo(f"{name:<{width}}  {value}")
     click.echo(f"cubic_coeff = {energy.cubic_coefficient}")
-    if out:
+    if out is not None:
         with _writing(out):
             save_energy(energy, out)
         click.echo(f"wrote {out}")

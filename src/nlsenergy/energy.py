@@ -614,6 +614,18 @@ def save_energy(energy: EnergyDefinition, path) -> None:
     Path(path).write_text(json.dumps(export_energy(energy), indent=2) + "\n")
 
 
+def _read_document(path):
+    """The JSON value in the file at `path`.  A file that cannot be read,
+    decoded or parsed, or that nests too deep to parse, raises ValueError
+    with the reason."""
+    try:
+        return json.loads(Path(path).read_text())
+    # UnicodeDecodeError, json.JSONDecodeError and an int literal past
+    # Python's digit limit are ValueErrors; deep nesting is a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _fraction(text) -> Fraction:
     # only the form str(Fraction) writes: Fraction alone would also take an
     # exponent, and build an int of 10**7 digits for "1e10000000"
@@ -640,15 +652,14 @@ def import_energy(source) -> EnergyDefinition:
     unusable k or p included, raises EnergyDocumentError.
     """
     try:
-        doc = source if isinstance(source, dict) else json.loads(Path(source).read_text())
+        doc = source if isinstance(source, dict) else _read_document(source)
         version = doc["schema_version"]
         k, p = doc["k"], doc["p"]
         _check_kp(k, p)
         coefficients = {name: _fraction(v) for name, v in doc["coefficients"].items()}
         cubic_coefficient = _fraction(doc["cubic_coeff"])
         correction_text = doc["F_k"]
-    # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
-    except (OSError, KeyError, ValueError, TypeError, AttributeError,
+    except (KeyError, ValueError, TypeError, AttributeError,
             ArithmeticError) as exc:
         raise EnergyDocumentError(f"malformed energy document: {exc}") from exc
     if version != SCHEMA_VERSION:

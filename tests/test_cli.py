@@ -251,6 +251,20 @@ def test_out_in_a_missing_folder_fails_before_any_work(tmp_path, monkeypatch, co
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["build", "simulate"])
+def test_an_empty_out_fails_before_any_work(monkeypatch, command):
+    def no_work(*args):
+        raise AssertionError("solved or integrated before checking --out")
+
+    monkeypatch.setattr(cli, "solve_energy", no_work)
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    extra = FAST if command == "simulate" else []
+    result = invoke(command, "--k", "2", "--p", "2", *extra, "--out", "")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.strip().splitlines() == ["Error: cannot write an empty --out path"]
+
+
 def test_build_reports_a_failed_write_in_one_line(tmp_path, monkeypatch):
     def refuse(energy, path):
         raise PermissionError(13, "Permission denied", str(path))
@@ -384,7 +398,8 @@ def test_a_run_too_large_to_represent_is_a_usage_error(tmp_path, monkeypatch, fl
 @pytest.mark.parametrize("document", [
     b'{"t_end": 1' + b"0" * 5000 + b"}",     # past Python's int digit limit
     b'{"preset": "\xe9"}',                   # not UTF-8
-], ids=["int-digit-limit", "not-utf8"])
+    b"[" * 200000 + b"]" * 200000,           # nested past the parser's recursion limit
+], ids=["int-digit-limit", "not-utf8", "nested"])
 def test_an_unreadable_config_document_is_a_usage_error(tmp_path, document):
     cfg = tmp_path / "run.json"
     cfg.write_bytes(document)
@@ -414,17 +429,18 @@ def _energy_document(tmp_path, **changes):
     return path
 
 
-def _non_utf8_file(tmp_path):
-    path = tmp_path / "latin1.json"
-    path.write_bytes(b'{"schema_version": 1, "k": "\xe9"}')
+def _written(tmp_path, data: bytes):
+    path = tmp_path / "e.json"
+    path.write_bytes(data)
     return path
 
 
 @pytest.mark.parametrize("write", [
     lambda tmp_path: _energy_document(tmp_path, k="2"),
     lambda tmp_path: _energy_document(tmp_path, k=1),
-    lambda tmp_path: _non_utf8_file(tmp_path),
-], ids=["k-as-text", "k-below-two", "not-utf8"])
+    lambda tmp_path: _written(tmp_path, b'{"schema_version": 1, "k": "\xe9"}'),
+    lambda tmp_path: _written(tmp_path, b"[" * 200000 + b"]" * 200000),
+], ids=["k-as-text", "k-below-two", "not-utf8", "nested"])
 def test_unusable_energy_document_is_a_usage_error(tmp_path, write):
     out = tmp_path / "never.csv"
     result = invoke("simulate", "--k", "2", "--p", "2", *FAST,

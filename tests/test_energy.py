@@ -733,6 +733,11 @@ def test_import_rejects_unreadable_files(tmp_path):
         import_energy(latin1)
     with pytest.raises(EnergyDocumentError):
         import_energy(tmp_path / "missing.json")
+    # nested past the parser's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    with pytest.raises(EnergyDocumentError, match="malformed energy document"):
+        import_energy(deep)
 
 
 # the power part of d/dt |d^4 u|^2 at p = 2, which _assemble takes

@@ -3,6 +3,9 @@
 Exit codes: 1 for usage problems (bad flags, mismatched or unreadable
 energy documents), 2 for an infeasible cancellation system, 3 for failed
 verification, tolerance violations or a run aborted on non-finite values.
+
+`simulate` and `crosscheck` import the numerical modules when they run:
+`build` and `verify` use only the exact layer, and never load numpy.
 """
 
 from __future__ import annotations
@@ -19,10 +22,7 @@ from .algebra import density_to_text
 from .energy import (EnergyDocumentError, InfeasibleSystemError, _check_kp,
                      _read_document, import_energy, save_energy, solve_energy,
                      verify_exact_conservation, verify_identities)
-from .harness import (DECOMPOSITION_TOLERANCE, FD_TOLERANCE, RunConfig,
-                      compile_plans, initial_state, max_bound_ratio, observe,
-                      run_experiment, write_report)
-from .spectral import BlowupError
+from .runconfig import RunConfig
 
 # usage failures must exit 1, freeing 2 and 3 for infeasibility and
 # verification failures
@@ -126,10 +126,14 @@ def _load_energy(config: RunConfig, energy_path):
 
 
 def _check_out(out):
-    """Fail before any solve or step if `out` is empty or has no folder to be
-    written in."""
+    """Fail before any solve or step if `out` is empty, names a folder, or
+    has no folder to be written in."""
     if not out:
         raise click.ClickException("cannot write an empty --out path")
+    # pathlib drops a trailing separator, and would write the file `newdir`
+    if out.endswith(tuple(filter(None, (os.sep, os.altsep)))):
+        raise click.ClickException(f"cannot write {out}: it ends in a path separator, "
+                                   "so it names a folder, not a file")
     folder = Path(out).parent
     if not folder.is_dir() or not os.access(folder, os.W_OK):
         raise click.ClickException(f"cannot write {out}: {folder} is not a writable folder")
@@ -147,6 +151,7 @@ def _writing(out):
 @contextlib.contextmanager
 def _aborting_on_blowup():
     """End a run whose state left the floating-point range with exit 3."""
+    from .spectral import BlowupError
     try:
         yield
     except BlowupError as exc:
@@ -227,6 +232,7 @@ def simulate(ctx, config_path, energy_path, out, **flags):
     Every record carries the growth-bound ratio |F_k| / hk^(2(k-2)/(k-1))
     and the cubic remainder; the largest ratio is printed at the end.
     """
+    from .harness import max_bound_ratio, run_experiment, write_report
     config = _build_config(ctx, config_path, **flags)
     _check_out(out)
     energy = _load_energy(config, energy_path)
@@ -249,6 +255,8 @@ def crosscheck(ctx, config_path, energy_path, **flags):
     Prints the derivative, its decomposition and its finite difference
     from the first record of the run the flags describe.
     """
+    from .harness import (DECOMPOSITION_TOLERANCE, FD_TOLERANCE, compile_plans,
+                          initial_state, observe)
     config = _build_config(ctx, config_path, **flags)
     energy = _load_energy(config, energy_path)
     with _aborting_on_blowup():

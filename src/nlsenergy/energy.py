@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -606,6 +605,9 @@ def export_energy(energy: EnergyDefinition) -> dict:
 
 
 def energy_hash(energy: EnergyDefinition) -> str:
+    # imported here: hashlib loads OpenSSL's libcrypto, about 3.5 MB of
+    # memory that no process pays until it hashes a document
+    import hashlib
     blob = json.dumps(export_energy(energy), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -24,100 +24,23 @@ import contextlib
 import dataclasses
 import itertools
 import json
-import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .energy import (EnergyDefinition, _check_kp, cubic_density, energy_hash,
-                     hamiltonian_density)
-from .spectral import (DensityPlan, SolverConfig, _check_mode, _check_modes, _check_phase,
-                       evolve, l2_norm, plane_wave, random_state, sobolev_norm)
+from .energy import EnergyDefinition, cubic_density, energy_hash, hamiltonian_density
+from .runconfig import RunConfig
+from .spectral import (DensityPlan, SolverConfig, evolve, l2_norm, plane_wave, random_state,
+                       sobolev_norm)
 
 CSV_COLUMNS = ("t", "l2", "h1", "hk", "hamiltonian", "E_k", "F_k",
                "dEk_fd", "dEk_exact", "cubic_remainder", "bound_ratio")
 
 FD_TOLERANCE = 1e-4
 DECOMPOSITION_TOLERANCE = 1e-9
-
-# the most steps a run, or one of its record blocks, may take: far above
-# the longest run of the documents, tests and benchmark (20,000 steps),
-# far below a run that would never end
-MAX_STEPS = 10 ** 9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    k: int = 2
-    p: int = 2
-    n_modes: int = 64
-    dt: float = 1e-3
-    t_end: float = 1.0
-    seed: int = 0
-    r_h1: float = 1.0
-    decay: float = 3.0
-    preset: str = "random"
-    amplitude: float = 0.5
-    mode: int = 1
-    record_dt: float = 0.05
-    fd_delta: float = 2e-5
-    fd_substeps: int = 10
-
-    def __post_init__(self):
-        """The one validation point of a run, so that bad input fails here,
-        before any solve or step."""
-        _check_kp(self.k, self.p)
-        for name, low in (("n_modes", 8), ("seed", 0), ("fd_substeps", 1)):
-            value = getattr(self, name)
-            # a bool is an int to Python, but never a count a run can use
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
-        if self.fd_substeps > MAX_STEPS:
-            raise ValueError(f"fd_substeps must be at most {MAX_STEPS}, got {self.fd_substeps}")
-        # the .meta.json sidecar records the mode whatever the preset
-        if not isinstance(self.mode, int) or isinstance(self.mode, bool):
-            raise ValueError(f"mode must be an int, got {self.mode!r}")
-        _check_modes(self.n_modes)
-        for name in ("dt", "t_end", "record_dt", "fd_delta", "r_h1", "decay", "amplitude"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise ValueError(f"{name} must be a finite number, got an int too "
-                                 "large for a float") from None
-            if not finite:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.preset not in ("random", "planewave"):
-            raise ValueError(f"preset must be 'random' or 'planewave', got {self.preset!r}")
-        if self.preset == "planewave":
-            _check_mode(self.mode, self.n_modes)
-        if self.t_end <= 0 or self.dt <= 0 or self.record_dt <= 0:
-            raise ValueError("t_end, dt and record_dt must be positive")
-        _check_phase(self.n_modes, self.dt)
-        # a quotient too large for a float is inf, which the bound refuses too
-        if max(self.t_end / self.dt, self.record_dt / self.dt) > MAX_STEPS:
-            raise ValueError("the step counts t_end / dt and record_dt / dt must be "
-                             f"at most {MAX_STEPS}")
-        # the finite-difference legs' step, 0 for a tiny fd_delta
-        step = self.fd_delta / self.fd_substeps
-        if step <= 0:
-            raise ValueError("fd_delta / fd_substeps must be positive, got "
-                             f"{self.fd_delta!r} / {self.fd_substeps} = {step!r}")
-        _check_phase(self.n_modes, step, "fd_delta / fd_substeps")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        return cls(**data)
 
 
 def initial_state(config: RunConfig) -> np.ndarray:

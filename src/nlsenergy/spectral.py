@@ -56,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Density, Monomial, PowerImage, _check_exponent
+from .runconfig import _check_mode, _check_modes, _check_phase
 
 
 def _pocketfft():
@@ -72,20 +73,6 @@ def _pocketfft():
 
 class BlowupError(RuntimeError):
     """The numerical state left the finite floating-point range."""
-
-
-def _check_modes(n_modes: int):
-    # 2**20 modes, a 16 MiB state, is far above any documented run
-    if n_modes < 8 or n_modes > 1 << 20 or n_modes & (n_modes - 1):
-        raise ValueError(f"n_modes must be a power of two from 8 to 2**20, got {n_modes}")
-
-
-def _check_phase(n_modes: int, step: float, name: str = "dt"):
-    # the linear phase n^2 step of a retained mode, |n| <= n_modes/2, is
-    # a finite float, or exp of it warns and the step yields nan
-    if not np.isfinite((n_modes // 2) ** 2 * abs(float(step))):
-        raise ValueError(f"{name} = {step!r} is too large for n_modes={n_modes}: the "
-                         f"linear phase (n_modes/2)^2 * |{name}| is not a finite float")
 
 
 def wavenumbers(n_modes: int) -> np.ndarray:
@@ -204,11 +191,6 @@ def evolve(u_hat: np.ndarray, config: SolverConfig, n_steps: int) -> np.ndarray:
 
 
 # -- initial data -----------------------------------------------------------
-
-def _check_mode(mode: int, n_modes: int):
-    if not isinstance(mode, (int, np.integer)) or not -n_modes // 2 <= mode < n_modes // 2:
-        raise ValueError(f"mode {mode} not representable with {n_modes} modes")
-
 
 def plane_wave(amplitude: complex, mode: int, n_modes: int) -> np.ndarray:
     _check_modes(n_modes)

@@ -37,6 +37,8 @@ ERRORS = [
     ("simulate --k 2 --config deep.json --out deep.csv", "cannot read config document"),
     ("build --k 2 --p 2 --out ''", "empty --out"),
     (f"simulate --k 2 {FAST} --out ''", "empty --out"),
+    (f"build --k 2 --p 2 --out newdir{os.sep}", "ends in a path separator"),
+    (f"simulate --k 2 {FAST} --out simdir{os.sep}", "ends in a path separator"),
     (f"build --k 3 --p {2 ** 70} --out past.json", "k * p must be at most 150"),
     (f"build --k {2 ** 70} --p 2 --out past.json", "k * p must be at most 150"),
     ("verify --k 2..1000000000000 --p 2", "k * p must be at most 150"),
@@ -59,6 +61,13 @@ ABORTS = [
 ]
 PINS = ["2058b81b5a012e58264c350dc0905d74b5ac9d0742e195b8b42d5554afdc0346",   # e16.json
         "620e3a38c21a748f8ee6356a85093f6233c8c66c4c68cb30c6acbec96f3fe142"]   # verify lines
+
+
+def imported(command: str) -> set:
+    """The modules `nlsenergy <command>` imports, by name."""
+    err = run(command, PYTHONPROFILEIMPORTTIME="1").stderr
+    return {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
 
 
 def expect(condition, reason: str):
@@ -144,7 +153,7 @@ def crosscheck_is_the_first_record():
 
 
 def runs():
-    """reports are byte-reproducible; 302 records of 1024 modes; no numpy.random"""
+    """reports are byte-reproducible; 302 records of 1024 modes; numpy, no numpy.random"""
     for out in ("m.csv", "m2.csv"):
         run(f"simulate --k 6 --n-modes 32 --t-end 0.05 --out {out}")
     for suffix in ("", ".meta.json"):
@@ -153,11 +162,20 @@ def runs():
     run("simulate --k 2 --n-modes 1024 --t-end 0.301 --config many.json --out many.csv")
     rows = len(Path("many.csv").read_text().splitlines())
     expect(rows == 303, f"many.csv has {rows} lines")
-    err = run(f"{DOC} e.json --out imports.csv", PYTHONPROFILEIMPORTTIME="1").stderr
-    expect("numpy.random" not in err, "numpy.random was imported")
+    modules = imported(f"{DOC} e.json --out imports.csv")
+    expect("numpy" in modules and "numpy.random" not in modules,
+           "numpy was not imported, or numpy.random was")
 
 
-CHECKS = [pinned_outputs, crosscheck_is_the_first_record, runs]
+def lean_starts():
+    """--help, build and verify import neither numpy nor OpenSSL's _hashlib"""
+    for command in ("--help", "build --k 5 --p 2 --out e5.json", "verify --k 2..3 --p 2"):
+        heavy = sorted(name for name in imported(command)
+                       if name.split(".")[0] in ("numpy", "_hashlib"))
+        expect(not heavy, f"{command} imported {', '.join(heavy[:3])} and {len(heavy)} in all")
+
+
+CHECKS = [pinned_outputs, crosscheck_is_the_first_record, runs, lean_starts]
 
 
 def main() -> int:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from nlsenergy import cli
+from nlsenergy import cli, harness
 from nlsenergy.algebra import Density, density_to_text
 from nlsenergy.cli import main
 from nlsenergy.energy import (POWER_IMAGE_REFERENCE, InfeasibleSystemError,
@@ -239,7 +239,7 @@ def test_out_in_a_missing_folder_fails_before_any_work(tmp_path, monkeypatch, co
         raise AssertionError("solved or integrated before checking --out")
 
     monkeypatch.setattr(cli, "solve_energy", no_work)
-    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(harness, "run_experiment", no_work)
     out = tmp_path / "missing" / "never.out"
     extra = FAST if command == "simulate" else []
     result = invoke(command, "--k", "2", "--p", "2", *extra, "--out", str(out))
@@ -257,12 +257,30 @@ def test_an_empty_out_fails_before_any_work(monkeypatch, command):
         raise AssertionError("solved or integrated before checking --out")
 
     monkeypatch.setattr(cli, "solve_energy", no_work)
-    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(harness, "run_experiment", no_work)
     extra = FAST if command == "simulate" else []
     result = invoke(command, "--k", "2", "--p", "2", *extra, "--out", "")
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.strip().splitlines() == ["Error: cannot write an empty --out path"]
+
+
+@pytest.mark.parametrize("command", ["build", "simulate"])
+def test_an_out_naming_a_folder_fails_before_any_work(tmp_path, monkeypatch, command):
+    def no_work(*args):
+        raise AssertionError("solved or integrated before checking --out")
+
+    monkeypatch.setattr(cli, "solve_energy", no_work)
+    monkeypatch.setattr(harness, "run_experiment", no_work)
+    monkeypatch.chdir(tmp_path)
+    extra = FAST if command == "simulate" else []
+    result = invoke(command, "--k", "2", "--p", "2", *extra, "--out", f"newdir{os.sep}")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.strip().splitlines() == [
+        f"Error: cannot write newdir{os.sep}: it ends in a path separator, so it names "
+        "a folder, not a file"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_reports_a_failed_write_in_one_line(tmp_path, monkeypatch):
@@ -298,7 +316,7 @@ def test_crosscheck_within_tolerance():
 
 
 def test_crosscheck_over_its_tolerance_exits_3(monkeypatch):
-    monkeypatch.setattr(cli, "FD_TOLERANCE", 0)
+    monkeypatch.setattr(harness, "FD_TOLERANCE", 0)
     result = invoke("crosscheck", "--k", "2", "--p", "2", "--n-modes", "32")
     assert result.exit_code == 3
     assert "tol 0)" in result.output

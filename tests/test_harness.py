@@ -17,6 +17,7 @@ from nlsenergy.energy import (cubic_density, energy_hash, export_energy,
 from nlsenergy.harness import (CSV_COLUMNS, RunConfig, compile_plans,
                                format_csv, initial_state, max_bound_ratio,
                                observe, run_experiment, write_report)
+from nlsenergy.runconfig import MAX_STEPS
 from nlsenergy.spectral import BlowupError, DensityPlan, SolverConfig, evolve, random_state
 
 
@@ -75,8 +76,8 @@ def test_run_config_validation():
     # that can be represented but exceed MAX_STEPS
     {"t_end": 10 ** 400}, {"amplitude": -10 ** 400}, {"dt": "1e-3"}, {"r_h1": 1j},
     {"t_end": 1e300, "dt": 1e-5}, {"record_dt": 2e6, "t_end": 2e6},
-    {"t_end": harness.MAX_STEPS + 1, "dt": 1, "record_dt": 1},
-    {"fd_substeps": harness.MAX_STEPS + 1},
+    {"t_end": MAX_STEPS + 1, "dt": 1, "record_dt": 1},
+    {"fd_substeps": MAX_STEPS + 1},
     # a substep fd_delta / fd_substeps that underflows to 0
     {"fd_delta": 5e-324},
     # a step whose linear phase (n_modes/2)^2 * |step| overflows
@@ -91,7 +92,7 @@ def test_run_config_rejects_what_no_run_can_use(overrides):
     ({"t_end": 10 ** 400}, "t_end must be a finite number, got an int too large for a float"),
     ({"decay": "3"}, "decay must be a finite number, got '3'"),
     ({"t_end": 1e300, "dt": 1e-5}, "the step counts t_end / dt and record_dt / dt must be "
-                                   f"at most {harness.MAX_STEPS}"),
+                                   f"at most {MAX_STEPS}"),
     ({"fd_delta": 1e308}, "fd_delta / fd_substeps = 1e+307 is too large for n_modes=16: the "
                           "linear phase (n_modes/2)^2 * |fd_delta / fd_substeps| is not a "
                           "finite float"),
@@ -107,8 +108,8 @@ def test_run_config_names_the_field_it_refuses(overrides, message):
 
 def test_run_config_accepts_the_largest_step_counts():
     # ints are numbers too
-    _small_config(t_end=harness.MAX_STEPS, dt=1, record_dt=harness.MAX_STEPS)
-    _small_config(t_end=harness.MAX_STEPS / 2, dt=0.5, record_dt=1)
+    _small_config(t_end=MAX_STEPS, dt=1, record_dt=MAX_STEPS)
+    _small_config(t_end=MAX_STEPS / 2, dt=0.5, record_dt=1)
 
 
 def test_run_config_accepts_the_edge_modes():
